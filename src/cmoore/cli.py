@@ -59,11 +59,25 @@ def load_machine(text: str, constraints: Constraints) -> Automaton:
     raise InputDomainError(f"{text!r} is neither a known machine spec nor a file")
 
 
+def read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputDomainError(f"{path}: {exc}") from exc
+
+
+def read_json(path: str):
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputDomainError(f"{path}: {exc}") from exc
+
+
 def load_cluster(args, constraints: Constraints) -> cluster.ClusterNode:
     if getattr(args, "cluster", None):
         try:
-            return cluster.node_from_json(Path(args.cluster).read_text())
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            return cluster.node_from_doc(read_json(args.cluster))
+        except ValueError as exc:
             raise InputDomainError(f"{args.cluster}: {exc}") from exc
     if not args.machine:
         raise UsageError("need --machine (with optional --inner) or --cluster FILE")
@@ -77,7 +91,12 @@ def load_cluster(args, constraints: Constraints) -> cluster.ClusterNode:
     policy = getattr(args, "policy", None) or ("union" if inner else "external")
     if policy == "current":
         policy = "current-state"
-    return cluster.ClusterNode(outer, scale=1 if inner else 0, inner=tuple(inner), tick_policy=policy)
+    try:
+        return cluster.ClusterNode(
+            outer, scale=1 if inner else 0, inner=tuple(inner), tick_policy=policy
+        )
+    except ValueError as exc:
+        raise InputDomainError(str(exc)) from exc
 
 
 def emit(args, text: str, payload) -> None:
@@ -267,7 +286,7 @@ def cmd_tape(args, constraints):
     tape = memory.build_t1(replicas=args.replicas)
     symbols = []
     if args.script:
-        for line in Path(args.script).read_text().splitlines():
+        for line in read_text(args.script).splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 symbols.append(line)
@@ -300,7 +319,7 @@ def cmd_tape(args, constraints):
 
 
 def cmd_fluent(args, constraints):
-    store = fluents.load_store(Path(args.store).read_text())
+    store = fluents.load_store(read_json(args.store))
     at = fluents.TimePoint.parse(args.at)
     value = fluents.evaluate(store, args.name, at, args.mode, Fraction(args.theta))
     emit(args, value.value, {"fluent": args.name, "at": str(at), "value": value.value})
@@ -311,7 +330,7 @@ def cmd_parse(args, constraints):
     if args.lexicon == "demo":
         lexicon, patterns = None, None
     else:
-        lexicon, patterns = lingua.load_grammar(Path(args.lexicon).read_text())
+        lexicon, patterns = lingua.load_grammar(read_json(args.lexicon))
     result = lingua.parse(args.sentence, lexicon, patterns)
     items = list(result.full) or list(result.islands())
     if args.context:
@@ -338,7 +357,7 @@ def cmd_activate(args, constraints):
     elif args.net == "grief-demo-unaware":
         net = lingua.grief_demo_network(parent_knows=False)
     else:
-        doc = json.loads(Path(args.net).read_text())
+        doc = read_json(args.net)
         net = lingua.ActivationNetwork.build(
             doc["nodes"],
             [tuple(e) for e in doc.get("edges", [])],

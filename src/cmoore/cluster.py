@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import menagerie
@@ -24,6 +25,7 @@ from .machine import Violation
 
 TICK_POLICIES = ("external", "union", "current-state")
 DEFAULT_HORIZON = 2**64
+UNFOLD_BUDGET = 100_000
 TEMPORAL_FAMILIES = ("Z", "N", "P", "L", "C")
 
 
@@ -141,6 +143,10 @@ class ClusterNode:
     def inner_map(self) -> dict[str, "ClusterNode"]:
         return dict(self.inner)
 
+    @cached_property
+    def _compiled(self) -> "_CompiledCluster":
+        return _CompiledCluster(self)
+
     @classmethod
     def leaf(cls, machine: Automaton, scale: int = 0) -> "ClusterNode":
         return cls(machine, scale=scale, tick_policy="external")
@@ -227,22 +233,173 @@ def validate_cluster(
     return report
 
 
-def _advance(state: ClusterState, node: ClusterNode) -> tuple[ClusterState, TickResult]:
-    machine = node.machine
+# Successor-table markers: a state with no successor halts the machine; the
+# other two refuse the tick with an UnsupportedStructureError when reached.
+_HALT = -1
+_NONDETERMINISTIC = -2
+_NOT_UNARY = -3
+
+_EXTERNAL, _UNION, _CURRENT_STATE = range(3)
+
+# What one tick of a node did, as returned by ``_CompiledCluster.step``.
+_HALTED, _IDLE, _ADVANCED, _EMITTED = -1, 0, 1, 2
+
+
+def _successor_table(machine: Automaton) -> list[int]:
+    """The successor index of each state on the unary tick, or a marker."""
     if len(machine.inputs) != 1:
-        raise UnsupportedStructureError(
-            f"{machine.name}: cluster simulation drives unary machines only"
+        return [_NOT_UNARY] * len(machine.states)
+    index = machine._state_index
+    table = []
+    for state in machine.states:
+        targets = machine._delta.get((state, machine.inputs[0]), ())
+        if not targets:
+            table.append(_HALT)
+        elif len(targets) > 1:
+            table.append(_NONDETERMINISTIC)
+        else:
+            table.append(index[targets[0]])
+    return table
+
+
+class _CompiledCluster:
+    """A cluster tree flattened into integer tables, in preorder.
+
+    Node 0 is the root.  A configuration is a ``list[int]`` holding the
+    current state index of every node; ticking mutates it in place.  Per
+    node the tables hold the successor of each state (or a marker), whether
+    each state emits, the tick policy, and the driven children: all of them
+    under the union policy, one slot per state (-1 when empty) under
+    current-state.
+    """
+
+    __slots__ = ("machines", "succ", "emits", "policy", "driven", "inner", "start")
+
+    def __init__(self, root: ClusterNode):
+        self.machines: list[Automaton] = []
+        self.succ: list[list[int]] = []
+        self.emits: list[list[bool]] = []
+        self.policy: list[int] = []
+        self.driven: list[list[int]] = []
+        self.inner: list[list[tuple[str, int]]] = []
+        self.start: list[int] = []
+        self._add(root)
+
+    def _add(self, node: ClusterNode) -> int:
+        machine = node.machine
+        index = machine._state_index
+        i = len(self.machines)
+        self.machines.append(machine)
+        self.succ.append(_successor_table(machine))
+        self.emits.append([machine.output_map[q] != SILENT for q in machine.states])
+        self.start.append(index[machine.initial])
+        self.policy.append(_EXTERNAL)
+        self.driven.append([])
+        self.inner.append([])
+        children = self.inner[i] = [(state, self._add(child)) for state, child in node.inner]
+        if not children or node.tick_policy == "external":
+            return i
+        if node.tick_policy == "union":
+            self.policy[i] = _UNION
+            self.driven[i] = [child for _, child in children]
+        else:
+            self.policy[i] = _CURRENT_STATE
+            self.driven[i] = [-1] * len(machine.states)
+            for state, child in children:
+                self.driven[i][index[state]] = child
+        return i
+
+    def step(self, vec: list[int], advances: list[int], i: int = 0) -> int:
+        """One elementary tick of node ``i``: the inner machines it drives
+        first, then the node itself if any of them emitted.  Advances are
+        counted per node in ``advances``."""
+        policy = self.policy[i]
+        if policy == _UNION:
+            halted = fired = False
+            for child in self.driven[i]:
+                done = self.step(vec, advances, child)
+                if done == _HALTED:
+                    halted = True
+                elif done == _EMITTED:
+                    fired = True
+            if halted:
+                return _HALTED
+            if not fired:
+                return _IDLE
+        elif policy == _CURRENT_STATE:
+            child = self.driven[i][vec[i]]
+            if child < 0:
+                return _IDLE
+            done = self.step(vec, advances, child)
+            if done != _EMITTED:
+                return _HALTED if done == _HALTED else _IDLE
+        current = vec[i]
+        nxt = self.succ[i][current]
+        if nxt < 0:
+            if nxt == _HALT:
+                return _HALTED
+            name = self.machines[i].name
+            if nxt == _NOT_UNARY:
+                raise UnsupportedStructureError(
+                    f"{name}: cluster simulation drives unary machines only"
+                )
+            state = self.machines[i].states[current]
+            raise UnsupportedStructureError(
+                f"{name}: nondeterministic at {state!r}; cluster ticks need determinism"
+            )
+        vec[i] = nxt
+        advances[i] += 1
+        return _EMITTED if self.emits[i][nxt] else _ADVANCED
+
+    def render(self, vec, i: int = 0) -> str:
+        """The nested configuration name, as ``ClusterState.render`` gives it."""
+        name = self.machines[i].states[vec[i]]
+        if not self.inner[i]:
+            return name
+        inside = ",".join(f"{s}={self.render(vec, child)}" for s, child in self.inner[i])
+        return f"{name}[{inside}]"
+
+    def load(self, state: ClusterState) -> tuple[list[int], list[int]]:
+        """A ``ClusterState`` as a configuration plus per-node tick counts."""
+        vec: list[int] = []
+        advances: list[int] = []
+
+        def visit(st: ClusterState, i: int):
+            machine = self.machines[i]
+            if st.current not in machine._state_index:
+                raise InputDomainError(f"{machine.name}: unknown state {st.current!r}")
+            vec.append(machine._state_index[st.current])
+            advances.append(st.ticks)
+            children = dict(st.children)
+            for s, child in self.inner[i]:
+                visit(children[s], child)
+
+        visit(state, 0)
+        return vec, advances
+
+    def dump(self, vec: list[int], advances: list[int], i: int = 0) -> ClusterState:
+        return ClusterState(
+            self.machines[i].states[vec[i]],
+            advances[i],
+            tuple((s, self.dump(vec, advances, child)) for s, child in self.inner[i]),
         )
-    successors = machine.successors(state.current, machine.inputs[0])
-    if not successors:
-        return state, TickResult(SILENT, False, True)
-    if len(successors) > 1:
-        raise UnsupportedStructureError(
-            f"{machine.name}: nondeterministic at {state.current!r}; cluster ticks need determinism"
-        )
-    nxt = successors[0]
-    new = replace(state, current=nxt, ticks=state.ticks + 1)
-    return new, TickResult(machine.output_of(nxt), True, False)
+
+    def lasso(self, budget: int) -> tuple[list[tuple[int, ...]], int | None]:
+        """Distinct configurations from the start, in tick order, and the
+        position the last one ticks back to (None when it halts instead)."""
+        vec = list(self.start)
+        advances = [0] * len(vec)
+        seen = {tuple(vec): 0}
+        while True:
+            if self.step(vec, advances) == _HALTED:
+                return list(seen), None
+            key = tuple(vec)
+            back = seen.get(key)
+            if back is not None:
+                return list(seen), back
+            seen[key] = len(seen)
+            if len(seen) > budget:
+                raise BudgetError(f"unfolding exceeded {budget} configurations")
 
 
 def tick(state: ClusterState, node: ClusterNode) -> tuple[ClusterState, TickResult]:
@@ -253,39 +410,15 @@ def tick(state: ClusterState, node: ClusterNode) -> tuple[ClusterState, TickResu
     inner machine of the occupied state advances.  A halted component halts
     the whole node (flagged, no further advance on this tick).
     """
-    if node.tick_policy == "external" or not node.inner:
-        return _advance(state, node)
-    child_states = dict(state.children)
-    if node.tick_policy == "union":
-        fired = False
-        halted = False
-        new_children = []
-        for st, child in node.inner:
-            advanced_child, result = tick(child_states[st], child)
-            new_children.append((st, advanced_child))
-            fired = fired or result.emission != SILENT
-            halted = halted or result.halted
-        mid = replace(state, children=tuple(new_children))
-        if halted:
-            return mid, TickResult(SILENT, False, True)
-        if not fired:
-            return mid, TickResult(SILENT, False, False)
-        return _advance(mid, node)
-    # current-state: only the occupied state's inner machine is driven.
-    driver = node.inner_map.get(state.current)
-    if driver is None:
-        return state, TickResult(SILENT, False, False)
-    advanced_child, result = tick(child_states[state.current], driver)
-    new_children = tuple(
-        (st, advanced_child if st == state.current else child_states[st])
-        for st, _ in node.inner
-    )
-    mid = replace(state, children=new_children)
-    if result.halted:
-        return mid, TickResult(SILENT, False, True)
-    if result.emission == SILENT:
-        return mid, TickResult(SILENT, False, False)
-    return _advance(mid, node)
+    compiled = node._compiled
+    vec, advances = compiled.load(state)
+    done = compiled.step(vec, advances)
+    after = compiled.dump(vec, advances)
+    if done == _HALTED:
+        return after, TickResult(SILENT, False, True)
+    if done == _IDLE:
+        return after, TickResult(SILENT, False, False)
+    return after, TickResult(node.machine.output_map[after.current], True, False)
 
 
 @dataclass(frozen=True)
@@ -307,22 +440,25 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     machine spends them."""
     if ticks < 0:
         raise InputDomainError(f"ticks must be >= 0, got {ticks}")
-    counts = {state: 0 for state in node.machine.states}
-    state = initial_state(node)
+    compiled = node._compiled
+    step = compiled.step
+    vec = list(compiled.start)
+    advances = [0] * len(vec)
+    counts = [0] * len(node.machine.states)
     emissions = 0
     halted = False
     ran = 0
     for _ in range(ticks):
-        state, result = tick(state, node)
-        if result.halted:
+        done = step(vec, advances)
+        if done == _HALTED:
             halted = True
             break
         ran += 1
-        counts[state.current] += 1
-        if result.emission != SILENT:
+        counts[vec[0]] += 1
+        if done == _EMITTED:
             emissions += 1
     return SimulationReport(
-        ticks, ran, tuple(counts.items()), emissions, halted
+        ticks, ran, tuple(zip(node.machine.states, counts)), emissions, halted
     )
 
 
@@ -554,37 +690,46 @@ def classify(
         return TemporalClass("P")
     if open_end:
         return TemporalClass("N")
-    automaton = unfold(target) if isinstance(target, ClusterNode) else target
+    if isinstance(target, ClusterNode):
+        # the lasso is the path of unfold(target), so it shares its budget
+        configurations, back = target._compiled.lasso(UNFOLD_BUDGET)
+        size = len(configurations)
+    else:
+        size, back = _unary_walk(target)
+    if back is None:
+        if size > horizon:
+            return TemporalClass("N", effective=True)
+        return TemporalClass("L", size)
+    cycle = size - back
+    if back > 0 and cycle == 1:
+        # A chain that parks in a terminal self-loop stays bounded.
+        return TemporalClass("L", size)
+    if cycle > horizon:
+        return TemporalClass("Z", effective=True)
+    return TemporalClass("C", cycle)
+
+
+def _unary_walk(automaton: Automaton) -> tuple[int, int | None]:
+    """Distinct states on the run from the initial state, and the position
+    the last one steps back to (None when it halts instead)."""
     if len(automaton.inputs) != 1:
         raise UnsupportedStructureError(
             f"{automaton.name}: classification needs a unary machine"
         )
     symbol = automaton.inputs[0]
     seen: dict[str, int] = {}
-    order: list[str] = []
     current = automaton.initial
     while current not in seen:
-        seen[current] = len(order)
-        order.append(current)
+        seen[current] = len(seen)
         successors = automaton.successors(current, symbol)
         if not successors:
-            size = len(order)
-            if size > horizon:
-                return TemporalClass("N", effective=True)
-            return TemporalClass("L", size)
+            return len(seen), None
         if len(successors) > 1:
             raise UnsupportedStructureError(
                 f"{automaton.name}: nondeterministic at {current!r}; classification needs determinism"
             )
         current = successors[0]
-    stem = seen[current]
-    cycle = len(order) - stem
-    if stem > 0 and cycle == 1:
-        # A chain that parks in a terminal self-loop stays bounded.
-        return TemporalClass("L", len(order))
-    if cycle > horizon:
-        return TemporalClass("Z", effective=True)
-    return TemporalClass("C", cycle)
+    return len(seen), seen[current]
 
 
 def canonical_machine(temporal: TemporalClass) -> Automaton:
@@ -676,41 +821,27 @@ def product(
     )
 
 
-def unfold(node: ClusterNode, budget: int = 100_000, name: str | None = None) -> Automaton:
+def unfold(node: ClusterNode, budget: int = UNFOLD_BUDGET, name: str | None = None) -> Automaton:
     """Expand a cluster's reachable configurations into a unary machine.
 
     Each configuration becomes a state (named by its nested rendering) whose
     Moore output is the outer machine's output there; a halted configuration
     simply has no outgoing edge.
     """
-    start = initial_state(node)
-    names: dict = {start.shape_key(): start.render()}
-    order = [start.render()]
-    outputs = {start.render(): node.machine.output_of(start.current)}
-    edges = []
-    frontier = [start]
-    while frontier:
-        state = frontier.pop()
-        successor, result = tick(state, node)
-        if result.halted:
-            continue
-        key = successor.shape_key()
-        label = names.get(key)
-        if label is None:
-            label = successor.render()
-            names[key] = label
-            order.append(label)
-            outputs[label] = node.machine.output_of(successor.current)
-            frontier.append(successor)
-            if len(names) > budget:
-                raise BudgetError(f"unfolding exceeded {budget} configurations")
-        edges.append((names[state.shape_key()], "e", label))
+    compiled = node._compiled
+    configurations, back = compiled.lasso(budget)
+    labels = [compiled.render(key) for key in configurations]
+    outputs = node.machine.output_map
+    states = node.machine.states
+    edges = [(source, "e", target) for source, target in zip(labels, labels[1:])]
+    if back is not None:
+        edges.append((labels[-1], "e", labels[back]))
     return Automaton.make(
         name or f"unfold({node.machine.name})",
-        order,
+        labels,
         ("e",),
-        start.render(),
-        {label: out for label, out in outputs.items() if out != SILENT},
+        labels[0],
+        {label: outputs[states[key[0]]] for label, key in zip(labels, configurations)},
         edges,
     )
 

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, text output, stable JSON."""
 import json
 
+import pytest
+
 from cmoore.cli import dispatch
 from cmoore.machine import from_json, to_json
 from cmoore.menagerie import wheel
@@ -266,3 +268,47 @@ def test_parse_with_grammar_file(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert "(NP (Art the) (N stars))" in out
+
+
+FILE_OPTIONS = {
+    "tape": ["tape", "--script"],
+    "fluent": ["fluent", "--name", "rain", "--at", "1.0", "--store"],
+    "parse": ["parse", "--sentence", "the dog", "--lexicon"],
+    "activate": ["activate", "--net"],
+}
+
+
+def bad_file(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "absent.json"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "bad.json"
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe\x00")
+    else:
+        path.write_text("{not json")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [(command, kind) for command in FILE_OPTIONS for kind in ("missing", "directory", "not-utf8")]
+    + [(command, "not-json") for command in ("fluent", "parse", "activate")],
+)
+def test_bad_input_file_is_one_json_line(capsys, tmp_path, command, kind):
+    code, out = run_cli(capsys, *FILE_OPTIONS[command], str(bad_file(tmp_path, kind)))
+    assert code == 1
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "input"
+    assert payload["message"]
+
+
+def test_inner_machine_on_unknown_state_is_one_json_line(capsys):
+    code, out = run_cli(
+        capsys, "simulate", "--machine", "wheel:2", "--inner", "x=wheel:3", "--ticks", "5"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload == {"error": "input", "message": "inner node attached to unknown state 'x'"}

@@ -1,0 +1,201 @@
+"""The compiled cluster stepper against the reference semantics.
+
+Random cluster trees of depth 1-3 under all three tick policies, built from
+wheels, chains (partial machines), lazy wheels (nondeterministic) and a
+binary machine, must give the same simulation reports, unfolded machines,
+classifications and tick-by-tick states as ``cluster_reference``, and raise
+the same errors on the same tick.
+"""
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import cluster_reference as ref
+from cmoore.cluster import (
+    DEFAULT_HORIZON,
+    TICK_POLICIES,
+    ClusterNode,
+    TemporalClass,
+    TickResult,
+    classify,
+    initial_state,
+    product,
+    simulate,
+    tick,
+    unfold,
+)
+from cmoore.errors import BudgetError, DomainError
+from cmoore.machine import Automaton
+from cmoore.menagerie import chain, state_names, synapse, wheel
+
+# Examples tick hundreds to thousands of times through the slow reference.
+settings.register_profile(
+    "cluster-differential",
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+DIFFERENTIAL = settings.get_profile("cluster-differential")
+
+UNFOLD_LIMIT = 2000  # configurations; keeps the reference unfold quick
+
+
+@st.composite
+def machines(draw):
+    kind = draw(st.sampled_from(("wheel", "chain", "looped-chain", "lazy-wheel", "binary")))
+    size = draw(st.integers(1, 4))
+    if kind == "wheel":
+        return wheel(size)
+    if kind == "chain":
+        return chain(size)
+    if kind == "looped-chain":
+        return chain(size, loops=(state_names(size)[-1],))
+    if kind == "lazy-wheel":
+        return wheel(size, loops=(draw(st.sampled_from(state_names(size))),))
+    return synapse()
+
+
+@st.composite
+def trees(draw, depth=3):
+    machine = draw(machines())
+    if depth == 1 or draw(st.booleans()):
+        return ClusterNode.leaf(machine)
+    states = draw(
+        st.lists(st.sampled_from(machine.states), min_size=1, max_size=3, unique=True)
+    )
+    inner = tuple((state, draw(trees(depth - 1))) for state in states)
+    scale = 1 + max(child.scale for _, child in inner)
+    return ClusterNode(machine, scale, inner, draw(st.sampled_from(TICK_POLICIES)))
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def tick_sequence(step, node, ticks):
+    """Every (state, result) pair up to the first error, then the error."""
+    state = initial_state(node)
+    seen = []
+    for _ in range(ticks):
+        try:
+            state, result = step(state, node)
+        except DomainError as exc:
+            seen.append((type(exc), str(exc)))
+            break
+        seen.append((state, result))
+    return seen
+
+
+@DIFFERENTIAL
+@given(trees(), st.integers(0, 300))
+def test_simulate_matches_reference(node, ticks):
+    assert outcome(simulate, node, ticks) == outcome(ref.simulate, node, ticks)
+
+
+@DIFFERENTIAL
+@given(trees(), st.integers(0, 120))
+def test_tick_sequence_matches_reference(node, ticks):
+    assert tick_sequence(tick, node, ticks) == tick_sequence(ref.tick, node, ticks)
+
+
+@DIFFERENTIAL
+@given(trees(), st.integers(1, 40))
+def test_unfold_and_classify_match_reference(node, horizon):
+    expected = outcome(ref.unfold, node, UNFOLD_LIMIT)
+    assert outcome(unfold, node, UNFOLD_LIMIT) == expected
+    if expected[0] is BudgetError:
+        return  # the full-budget reference classification would be too slow
+    for h in (horizon, DEFAULT_HORIZON):
+        want = outcome(ref.classify, expected[1], h) if expected[0] == "ok" else expected
+        assert outcome(classify, node, h) == want
+
+
+def unreachable_choice() -> Automaton:
+    """A two-state wheel plus a nondeterministic state nothing leads to."""
+    return Automaton.make(
+        "unreachable-choice",
+        ("a", "b", "c"),
+        ("e",),
+        "a",
+        {"b": "1"},
+        [("a", "e", "b"), ("b", "e", "a"), ("c", "e", "a"), ("c", "e", "b")],
+    )
+
+
+def idle_binary_slot() -> ClusterNode:
+    """Current-state outer wheel that parks on "b" (no driver) before it
+    ever reaches "c", whose slot holds a binary machine."""
+    outer = wheel(3)
+    return ClusterNode(
+        outer,
+        scale=1,
+        inner=(("a", ClusterNode.leaf(wheel(2))), ("c", ClusterNode.leaf(synapse()))),
+        tick_policy="current-state",
+    )
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        ClusterNode.leaf(unreachable_choice()),
+        product(unreachable_choice(), wheel(3)),
+        idle_binary_slot(),
+    ],
+    ids=["leaf", "product", "idle-binary-slot"],
+)
+def test_structures_never_driven_raise_nothing(node):
+    assert simulate(node, 200) == ref.simulate(node, 200)
+    assert unfold(node) == ref.unfold(node)
+    assert classify(node) == ref.classify(node)
+    ticked = tick_sequence(tick, node, 50)
+    assert all(isinstance(result, TickResult) for _, result in ticked)
+    assert ticked == tick_sequence(ref.tick, node, 50)
+
+
+class TestClassifyCluster:
+    """``classify(cluster)`` walks the configuration lasso; it must agree
+    with classifying the unfolded machine."""
+
+    @staticmethod
+    def both(node, **kwargs):
+        direct = classify(node, **kwargs)
+        assert direct == classify(unfold(node), **kwargs)
+        return direct
+
+    def test_halting_chain(self):
+        assert self.both(product(chain(3), wheel(2))) == TemporalClass("L", 3)
+
+    def test_stem_into_a_self_loop(self):
+        outer = wheel(3)
+        node = ClusterNode(
+            outer,
+            scale=1,
+            inner=(("a", ClusterNode.leaf(chain(2, loops=("b",)))),),
+            tick_policy="current-state",
+        )
+        # a[a], then b[b] forever: the outer wheel parks where nothing drives it
+        assert self.both(node) == TemporalClass("L", 2)
+
+    def test_horizon_below_the_cycle(self):
+        node = product(wheel(3), wheel(5))
+        assert self.both(node) == TemporalClass("C", 30)
+        assert self.both(node, horizon=29) == TemporalClass("Z", effective=True)
+
+    def test_budget_error_past_the_unfold_budget(self):
+        node = product(wheel(331), wheel(337))  # 111,547 configurations per outer state
+        with pytest.raises(BudgetError) as direct:
+            classify(node)
+        with pytest.raises(BudgetError) as unfolded:
+            unfold(node)
+        assert str(direct.value) == str(unfolded.value) == "unfolding exceeded 100000 configurations"
+
+
+def test_unfold_budget_counts_configurations_exactly():
+    node = product(wheel(3), wheel(5))  # 30 configurations
+    assert unfold(node, budget=30) == ref.unfold(node, budget=30)
+    for fn in (unfold, ref.unfold):
+        with pytest.raises(BudgetError, match="exceeded 29 configurations"):
+            fn(node, budget=29)
