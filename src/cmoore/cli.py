@@ -73,6 +73,13 @@ def read_json(path: str):
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
+def fraction(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputDomainError(f"{option}: {exc}") from exc
+
+
 def load_cluster(args, constraints: Constraints) -> cluster.ClusterNode:
     if getattr(args, "cluster", None):
         try:
@@ -165,8 +172,11 @@ def cmd_occupancy(args, constraints):
 
 def cmd_approx_dist(args, constraints):
     outcomes = args.outcomes.split(",") if args.outcomes else None
-    dist = analysis.FiniteDistribution.parse(args.probs, outcomes)
-    machine = analysis.approximate_distribution(dist, Fraction(args.eps), constraints)
+    try:
+        dist = analysis.FiniteDistribution.parse(args.probs, outcomes)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputDomainError(f"--probs: {exc}") from exc
+    machine = analysis.approximate_distribution(dist, fraction(args.eps, "--eps"), constraints)
     counts: dict[str, int] = {}
     for state in machine.states:
         counts[machine.output_of(state)] = counts.get(machine.output_of(state), 0) + 1
@@ -321,7 +331,7 @@ def cmd_tape(args, constraints):
 def cmd_fluent(args, constraints):
     store = fluents.load_store(read_json(args.store))
     at = fluents.TimePoint.parse(args.at)
-    value = fluents.evaluate(store, args.name, at, args.mode, Fraction(args.theta))
+    value = fluents.evaluate(store, args.name, at, args.mode, fraction(args.theta, "--theta"))
     emit(args, value.value, {"fluent": args.name, "at": str(at), "value": value.value})
     return 0
 
@@ -358,11 +368,14 @@ def cmd_activate(args, constraints):
         net = lingua.grief_demo_network(parent_knows=False)
     else:
         doc = read_json(args.net)
-        net = lingua.ActivationNetwork.build(
-            doc["nodes"],
-            [tuple(e) for e in doc.get("edges", [])],
-            [tuple(l) for l in doc.get("static_links", [])],
-        )
+        try:
+            net = lingua.ActivationNetwork.build(
+                doc["nodes"],
+                [tuple(e) for e in doc.get("edges", [])],
+                [tuple(l) for l in doc.get("static_links", [])],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputDomainError(f"{args.net}: malformed network document: {exc}") from exc
     for node in args.inject or ():
         net = lingua.inject(net, node)
     trace = []

@@ -858,13 +858,18 @@ def node_to_doc(node: ClusterNode) -> dict:
 
 
 def node_from_doc(doc: Mapping) -> ClusterNode:
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("inner", {}), Mapping):
+        raise ValueError("malformed cluster document: a node and its 'inner' must be objects")
+    scale = doc.get("scale", 0)
+    if not isinstance(scale, int) or isinstance(scale, bool):
+        raise ValueError(f"malformed cluster document: scale must be an integer, got {scale!r}")
     try:
         inner = tuple(
             (state, node_from_doc(sub)) for state, sub in doc.get("inner", {}).items()
         )
         return ClusterNode(
             machine=from_doc(doc["machine"]),
-            scale=doc.get("scale", 0),
+            scale=scale,
             inner=inner,
             tick_policy=doc.get("tick_policy", "external" if not inner else "union"),
         )

@@ -11,6 +11,7 @@ and friends) are assignments by congruence and never run out of domain.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -70,13 +71,43 @@ def contains(outer: TimePoint, inner: TimePoint, scales: ScaleSystem) -> bool:
     return inner.index // width == outer.index
 
 
+def _is_int(value) -> bool:
+    """Whether a value may serve as an index; bools and floats may not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_pair(pair, what: str) -> tuple[int, int]:
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise InputDomainError(f"{what} must be a pair of integers, got {pair!r}") from None
+    if not (_is_int(lo) and _is_int(hi)):
+        raise InputDomainError(f"{what} must be a pair of integers, got {pair!r}")
+    return lo, hi
+
+
+def _periodic_run(offset: int, span: int, period: int, start: int, stop: int) -> int:
+    """Longest overlap of the runs [offset + k*period, +span) with [start, stop).
+
+    Only the run that begins at or before ``start`` and the next one can
+    matter: if the next one fits whole, nothing is longer, and if it is cut
+    by ``stop``, every later run begins at or after ``stop``.
+    """
+    first = start - (start - offset) % period
+    best = max(0, min(stop, first + span) - start)
+    following = first + period
+    return max(best, min(span, stop - following))
+
+
 class FluentStore:
     """Truth assignments of named fluents at one base scale.
 
-    Explicit fluents are total over a declared domain of base indices;
-    cyclic fluents are true exactly on a congruence class of indices.
-    Queries above the base scale are always derived, never stored.
-    Installation must be serialized externally; evaluation is pure.
+    Explicit fluents are total over a declared domain of base indices and
+    stored as sorted, disjoint, non-touching true intervals; cyclic fluents
+    are true exactly on a congruence class of indices.  Queries above the
+    base scale are always derived, never stored, and cost nothing per unit
+    of the window.  Installation must be serialized externally; evaluation
+    is pure.
     """
 
     def __init__(self, scales: ScaleSystem | None = None, base_scale: int | None = None):
@@ -84,7 +115,8 @@ class FluentStore:
         self.base_scale = self.scales.min_scale if base_scale is None else base_scale
         if not self.scales.min_scale <= self.base_scale <= self.scales.max_scale:
             raise InputDomainError(f"base scale {self.base_scale} outside the scale system")
-        self._explicit: dict[str, tuple[int, int, set[int]]] = {}
+        # name -> (domain start, domain stop, interval starts, interval stops)
+        self._explicit: dict[str, tuple[int, int, list[int], list[int]]] = {}
         self._cyclic: dict[str, tuple[int, int, int]] = {}
 
     def names(self) -> tuple[str, ...]:
@@ -92,18 +124,30 @@ class FluentStore:
 
     def assign(self, name: str, domain: tuple[int, int], true_ranges: Sequence[tuple[int, int]]):
         """Install an explicit fluent, total over [domain), true on the given
-        half-open ranges."""
+        half-open ranges; empty ranges are ignored, overlapping or touching
+        ones merged."""
         if name in self._explicit or name in self._cyclic:
             raise InputDomainError(f"fluent {name!r} is already defined")
-        start, stop = domain
+        domain = start, stop = _int_pair(domain, "a domain")
         if start >= stop:
             raise InputDomainError(f"empty domain {domain!r}")
-        true_set: set[int] = set()
-        for lo, hi in true_ranges:
+        ranges = []
+        for pair in true_ranges:
+            lo, hi = _int_pair(pair, "a true range")
             if lo < start or hi > stop:
                 raise InputDomainError(f"true range [{lo}, {hi}) escapes the domain {domain!r}")
-            true_set.update(range(lo, hi))
-        self._explicit[name] = (start, stop, true_set)
+            if lo < hi:
+                ranges.append((lo, hi))
+        ranges.sort()
+        los: list[int] = []
+        his: list[int] = []
+        for lo, hi in ranges:
+            if his and lo <= his[-1]:
+                his[-1] = max(his[-1], hi)
+            else:
+                los.append(lo)
+                his.append(hi)
+        self._explicit[name] = (start, stop, los, his)
 
     def cyclic_fluent(self, name: str, period: int, phase_true: tuple[int, int]):
         """Install a fluent true exactly on indices congruent to the phase
@@ -114,9 +158,11 @@ class FluentStore:
         """
         if name in self._explicit or name in self._cyclic:
             raise InputDomainError(f"fluent {name!r} is already defined")
+        if not _is_int(period):
+            raise InputDomainError(f"period must be an integer, got {period!r}")
         if period < 2:
             raise InputDomainError(f"period must be >= 2, got {period}")
-        lo, hi = phase_true
+        lo, hi = _int_pair(phase_true, "a phase range")
         span = hi - lo
         if not 0 < span < period:
             raise InputDomainError(
@@ -125,32 +171,34 @@ class FluentStore:
         self._cyclic[name] = (period, lo % period, span)
 
     def value_at(self, name: str, base_index: int) -> bool:
+        return self.longest_runs(name, base_index, base_index + 1)[0] == 1
+
+    def longest_runs(self, name: str, start: int, stop: int) -> tuple[int, int]:
+        """Longest run of true and of false base units in [start, stop)."""
         if name in self._cyclic:
             period, lo, span = self._cyclic[name]
-            return (base_index - lo) % period < span
-        if name in self._explicit:
-            start, stop, true_set = self._explicit[name]
-            if not start <= base_index < stop:
-                raise UnassignedWindowError(
-                    f"{name!r} is unassigned at base index {base_index} "
-                    f"(domain [{start}, {stop}))"
-                )
-            return base_index in true_set
-        raise InputDomainError(f"unknown fluent {name!r}")
-
-    def window_values(self, name: str, start: int, stop: int) -> list[bool]:
-        return [self.value_at(name, i) for i in range(start, stop)]
-
-
-def _longest_run(values: Sequence[bool], wanted: bool) -> int:
-    best = run = 0
-    for value in values:
-        if value == wanted:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
-    return best
+            return (
+                _periodic_run(lo, span, period, start, stop),
+                _periodic_run(lo + span, period - span, period, start, stop),
+            )
+        if name not in self._explicit:
+            raise InputDomainError(f"unknown fluent {name!r}")
+        first, last, los, his = self._explicit[name]
+        if start < first or stop > last:
+            outside = start if start < first else max(start, last)
+            raise UnassignedWindowError(
+                f"{name!r} is unassigned at base index {outside} (domain [{first}, {last}))"
+            )
+        longest_true = longest_false = 0
+        cursor = start  # first unit not yet accounted for
+        k = bisect_right(his, start)  # first interval ending after start
+        while k < len(los) and los[k] < stop:
+            lo, hi = max(los[k], start), min(his[k], stop)
+            longest_true = max(longest_true, hi - lo)
+            longest_false = max(longest_false, lo - cursor)
+            cursor = hi
+            k += 1
+        return longest_true, max(longest_false, stop - cursor)
 
 
 def evaluate(
@@ -182,15 +230,15 @@ def evaluate(
         raise InputDomainError(f"scale {at.scale} outside the scale system")
     width = store.scales.units(at.scale, store.base_scale)
     start = at.index * width
-    values = store.window_values(name, start, start + width)
+    longest_true, longest_false = store.longest_runs(name, start, start + width)
     if mode == "forall":
-        return Truth.of(all(values))
+        return Truth.of(longest_false == 0)
     if mode == "exists":
-        return Truth.of(any(values))
-    threshold = theta * len(values)
-    if _longest_run(values, True) >= threshold:
+        return Truth.of(longest_true > 0)
+    threshold = theta * width
+    if longest_true >= threshold:
         return Truth.TRUE
-    if _longest_run(values, False) >= threshold:
+    if longest_false >= threshold:
         return Truth.FALSE
     return Truth.UNDEFINED
 
@@ -250,16 +298,34 @@ def load_store(doc: Mapping | str, scales: ScaleSystem | None = None) -> FluentS
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    doc = _object(doc, "a store document")
+    base_scale = doc.get("base_scale")
+    if base_scale is not None and not _is_int(base_scale):
+        raise InputDomainError(f"base_scale must be an integer, got {base_scale!r}")
     scales = scales or (
         ScaleSystem.naive() if doc.get("scale_system") == "naive" else ScaleSystem.modern()
     )
-    store = FluentStore(scales, doc.get("base_scale"))
-    for name, spec in doc.get("fluents", {}).items():
-        store.assign(
-            name,
-            tuple(spec["domain"]),
-            [tuple(r) for r in spec.get("true", [])],
-        )
-    for name, spec in doc.get("cyclic", {}).items():
-        store.cyclic_fluent(name, spec["period"], tuple(spec["phase"]))
+    store = FluentStore(scales, base_scale)
+    for name, spec in _object(doc.get("fluents", {}), "'fluents'").items():
+        spec = _object(spec, f"fluent {name!r}")
+        true_ranges = spec.get("true", [])
+        if not isinstance(true_ranges, list):
+            raise InputDomainError(f"fluent {name!r}: 'true' must be a list of ranges")
+        store.assign(name, _field(spec, "domain", name), true_ranges)
+    for name, spec in _object(doc.get("cyclic", {}), "'cyclic'").items():
+        spec = _object(spec, f"cyclic fluent {name!r}")
+        store.cyclic_fluent(name, _field(spec, "period", name), _field(spec, "phase", name))
     return store
+
+
+def _object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise InputDomainError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _field(spec: Mapping, key: str, name: str):
+    try:
+        return spec[key]
+    except KeyError:
+        raise InputDomainError(f"fluent {name!r} has no {key!r}") from None

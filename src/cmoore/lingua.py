@@ -551,6 +551,6 @@ def load_grammar(doc: Mapping | str) -> tuple[Lexicon, PatternSet]:
         patterns = PatternSet.make(
             [tuple(spec) for spec in doc.get("patterns", [])]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputDomainError(f"malformed grammar document: {exc}") from exc
     return lexicon, patterns

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cmoore.cli import dispatch
-from cmoore.machine import from_json, to_json
+from cmoore.machine import from_json, to_doc, to_json
 from cmoore.menagerie import wheel
 
 
@@ -312,3 +312,103 @@ def test_inner_machine_on_unknown_state_is_one_json_line(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload == {"error": "input", "message": "inner node attached to unknown state 'x'"}
+
+
+def one_json_line(out):
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "input"
+    return payload["message"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"fluents": []},
+        {"cyclic": 5},
+        {"fluents": {"rain": {"true": [[0, 5]]}}},
+        {"cyclic": {"day": {"phase": [0, 48]}}},
+        {"cyclic": {"day": {"period": 96}}},
+        {"fluents": {"rain": {"domain": [0, 10], "true": [[0.5, 3]]}}},
+        {"fluents": {"rain": {"domain": [0, True], "true": []}}},
+        {"fluents": {"rain": {"domain": [0.0, 10], "true": []}}},
+    ],
+    ids=[
+        "top-level-list", "fluents-list", "cyclic-number", "no-domain", "no-period",
+        "no-phase", "float-range-bound", "bool-domain-bound", "float-domain-bound",
+    ],
+)
+def test_wrong_shape_store_is_one_json_line(capsys, tmp_path, doc):
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, *FILE_OPTIONS["fluent"], str(store))
+    assert code == 1
+    assert one_json_line(out)
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("activate", []),
+        ("activate", {}),
+        ("activate", {"nodes": ["a"], "edges": [["a", "z"]]}),
+        ("cluster", []),
+        ("cluster", {"machine": to_doc(wheel(2)),
+                     "inner": {"a": {"machine": to_doc(wheel(3)), "scale": "x"}}}),
+        ("parse", {"words": []}),
+    ],
+    ids=[
+        "net-list", "net-without-nodes", "net-unknown-edge", "cluster-list",
+        "cluster-string-scale", "lexicon-words-list",
+    ],
+)
+def test_wrong_shape_document_is_one_json_line(capsys, tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "activate": FILE_OPTIONS["activate"],
+        "cluster": ["validate", "--cluster"],
+        "parse": FILE_OPTIONS["parse"],
+    }[command]
+    code, out = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert one_json_line(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx-dist", "--probs", "abc", "--eps", "1/10"],
+        ["approx-dist", "--probs", "1/2,1/2", "--eps", "zz"],
+        ["approx-dist", "--probs", "1/2,1/4", "--eps", "1/10"],
+        ["approx-dist", "--probs", "1/0", "--eps", "1/10"],
+    ],
+    ids=["probs-not-a-number", "eps-not-a-number", "probs-not-summing-to-one", "probs-zero-division"],
+)
+def test_bad_fraction_is_one_json_line(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert one_json_line(out)
+
+
+def test_bad_theta_is_one_json_line(capsys, tmp_path):
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"fluents": {"rain": {"domain": [0, 10], "true": []}}}))
+    code, out = run_cli(capsys, "fluent", "--store", str(store), "--name", "rain", "--at", "1.0",
+                        "--theta", "zz")
+    assert code == 1
+    assert one_json_line(out) == "--theta: Invalid literal for Fraction: 'zz'"
+
+
+def test_scale_zero_cyclic_query_answers(capsys, tmp_path):
+    # a scale-0 window over base -18 holds 10**18 units of a period-96 cycle
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"base_scale": -18, "cyclic": {"day": {"period": 96, "phase": [24, 72]}}}))
+    outs = []
+    for mode in ("forall", "exists", "preponderant"):
+        code, out = run_cli(capsys, "fluent", "--store", str(store), "--name", "day", "--at", "0.-3",
+                            "--mode", mode)
+        assert code == 0
+        outs.append(out.strip())
+    assert outs == ["false", "true", "undefined"]

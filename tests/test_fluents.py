@@ -1,4 +1,6 @@
 """Instant containment and fluent truth across scales."""
+import time
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -252,3 +254,67 @@ class TestStoreDocuments:
         store = FluentStore(ScaleSystem.modern(), 0)
         with pytest.raises(InputDomainError):
             store.assign("p", (0, 10), [(5, 15)])
+
+    def test_bad_bounds_rejected(self):
+        store = FluentStore(ScaleSystem.modern(), 0)
+        for domain, ranges in (
+            ((0, 10), [(0.5, 3)]),
+            ((0, 10), [(True, 3)]),
+            ((0.0, 10), []),
+            ((0, 10), [(1, 2, 3)]),
+            ((0, 10), [5]),
+        ):
+            with pytest.raises(InputDomainError):
+                store.assign("p", domain, ranges)
+        with pytest.raises(InputDomainError):
+            store.cyclic_fluent("c", 4.0, (0, 1))
+        with pytest.raises(InputDomainError):
+            store.cyclic_fluent("c", 4, (0, 1.5))
+
+    def test_empty_ranges_are_ignored(self):
+        store = FluentStore(ScaleSystem.modern(), 0)
+        store.assign("p", (0, 10), [(7, 2), (4, 4), (0, 3), (3, 5)])
+        assert [store.value_at("p", i) for i in range(10)] == [True] * 5 + [False] * 5
+        assert store.longest_runs("p", 0, 10) == (5, 5)
+
+
+class TestBudgets:
+    """No query or installation does work per unit of its window or domain."""
+
+    def test_scale_zero_cyclic_query_over_base_minus_18(self):
+        store = FluentStore(base_scale=-18)
+        store.cyclic_fluent("day", 997, (300, 800))
+        store.cyclic_fluent("era", 3 * 10**18, (0, 2 * 10**18))
+        began = time.perf_counter()
+        answers = [
+            evaluate(store, name, TimePoint(0, index), mode)
+            for name, index in (("day", -4), ("era", 0), ("era", 2))
+            for mode in ("forall", "exists", "preponderant")
+        ]
+        assert time.perf_counter() - began < 0.1
+        t, f, u = Truth.TRUE, Truth.FALSE, Truth.UNDEFINED
+        # 500 true and 497 false units a period; then a window inside the
+        # true third of a 3*10**18 period, and one inside its false third
+        assert answers == [f, t, u, t, t, t, f, f, f]
+
+    def test_billion_unit_domain_in_little_memory(self):
+        # one true run of 7*10**8 units, then 999 short ones 3*10**5 apart
+        starts = [7 * 10**8 + 1 + k * 3 * 10**5 for k in range(999)]
+        doc = {
+            "base_scale": 0,
+            "fluents": {
+                "p": {"domain": [0, 10**9], "true": [[0, 7 * 10**8]] + [[lo, lo + 1000] for lo in starts]}
+            },
+        }
+        tracemalloc.start()
+        try:
+            store = load_store(doc)
+            answers = [
+                evaluate(store, "p", TimePoint(9, 0), mode)
+                for mode in ("forall", "exists", "preponderant")
+            ]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answers == [Truth.FALSE, Truth.TRUE, Truth.TRUE]
+        assert peak < 10**6
