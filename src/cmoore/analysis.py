@@ -69,20 +69,13 @@ def signal_occupancy(vector: OccupancyVector, automaton: Automaton) -> dict[str,
     return totals
 
 
-def _unary_symbol(automaton: Automaton) -> str:
+def _unary_table(automaton: Automaton) -> tuple[tuple[int, ...], ...]:
+    """The successor indices of every state on the machine's one symbol."""
     if len(automaton.inputs) != 1:
         raise UnsupportedStructureError(
             f"{automaton.name}: a unary input alphabet is required, got {len(automaton.inputs)} symbols"
         )
-    return automaton.inputs[0]
-
-
-def _successor_indices(automaton: Automaton, symbol: str) -> list[list[int]]:
-    index = {q: i for i, q in enumerate(automaton.states)}
-    table: list[list[int]] = [[] for _ in automaton.states]
-    for q in automaton.states:
-        table[index[q]] = [index[s] for s in automaton.successors(q, symbol)]
-    return table
+    return automaton._succ[0]
 
 
 def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
@@ -96,10 +89,9 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     """
     if steps < 0:
         raise InputDomainError(f"steps must be >= 0, got {steps}")
-    symbol = _unary_symbol(automaton)
-    succ = _successor_indices(automaton, symbol)
+    succ = _unary_table(automaton)
     n = len(automaton.states)
-    start = automaton.states.index(automaton.initial)
+    start = automaton._state_index[automaton.initial]
     exact = steps <= EXACT_PATH_LIMIT
     counts: list = [0] * n
     counts[start] = 1 if exact else 1.0
@@ -129,7 +121,7 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     return OccupancyVector(entries, horizon=steps, exact=exact)
 
 
-def _reachable(succ: list[list[int]], start: int) -> set[int]:
+def _reachable(succ: Sequence[Sequence[int]], start: int) -> set[int]:
     seen = {start}
     queue = deque([start])
     while queue:
@@ -141,7 +133,7 @@ def _reachable(succ: list[list[int]], start: int) -> set[int]:
     return seen
 
 
-def _strong_components(nodes: Sequence[int], succ: list[list[int]]) -> list[list[int]]:
+def _strong_components(nodes: Sequence[int], succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Kosaraju's algorithm, iterative so myriad-state cycles don't blow the
     recursion limit."""
     node_set = set(nodes)
@@ -216,9 +208,8 @@ def stationary_distribution(
     is solved by power iteration, averaging over the chain's period so
     periodic classes still converge below the residual.
     """
-    symbol = _unary_symbol(automaton)
-    succ = _successor_indices(automaton, symbol)
-    start = automaton.states.index(automaton.initial)
+    succ = _unary_table(automaton)
+    start = automaton._state_index[automaton.initial]
     reachable = _reachable(succ, start)
     missing = [automaton.states[i] for i in sorted(reachable) if not succ[i]]
     if missing:
@@ -287,11 +278,10 @@ def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> Occupa
     """
     if steps < 1:
         raise InputDomainError(f"steps must be >= 1, got {steps}")
-    symbol = _unary_symbol(automaton)
-    succ = _successor_indices(automaton, symbol)
+    succ = _unary_table(automaton)
     rng = Random(seed)
     counts = [0] * len(automaton.states)
-    current = automaton.states.index(automaton.initial)
+    current = automaton._state_index[automaton.initial]
     counts[current] = 1
     for t in range(steps):
         options = succ[current]
@@ -433,88 +423,84 @@ def synchronizing_word(
         raise BudgetError(
             f"{automaton.name}: {n} states exceed the pair-graph budget {PAIR_GRAPH_LIMIT}"
         )
-    states = automaton.states
-    move = {
-        (q, sym): automaton.successors(q, sym)[0] for q in states for sym in automaton.inputs
-    }
-    merge_step = _pair_merge_table(automaton, move)
+    table = automaton._succ
+    merge_step = _pair_merge_table(table, n)
     if merge_step is None:
         return None
     if n <= subset_limit:
-        word = _subset_search(automaton, move, budget)
+        word = _subset_search(automaton, budget)
         shortest = True
     else:
-        word = _greedy_merge(automaton, move, merge_step)
+        word = _greedy_merge(table, n, merge_step)
         shortest = False
-    image = set(states)
-    for sym in word:
-        image = {move[(q, sym)] for q in image}
+    image = set(range(n))
+    for a in word:
+        image = {table[a][p][0] for p in image}
     (sink,) = image
-    return SyncResult(tuple(word), sink, sink == automaton.initial, shortest)
+    return SyncResult(
+        tuple(automaton.inputs[a] for a in word),
+        automaton.states[sink],
+        automaton.states[sink] == automaton.initial,
+        shortest,
+    )
 
 
-def _pair_merge_table(automaton, move):
-    """Per unordered state pair, the first symbol of a shortest merging word.
+def _pair_merge_table(table, n):
+    """Per state pair ``(p, q)`` with ``p < q``, the first symbol of a
+    shortest merging word.
 
     Built by backward breadth-first search from already-merged pairs; returns
     None when some pair can never merge (the machine is not synchronizing).
-    Pairs are normalized by state index, never by name order.
     """
-    states = automaton.states
-    symbols = automaton.inputs
-    index = {q: i for i, q in enumerate(states)}
-
-    def norm(a, b):
-        return (a, b) if index[a] < index[b] else (b, a)
-
-    pairs = [(p, q) for i, p in enumerate(states) for q in states[i + 1 :]]
-    incoming: dict[tuple[str, str], list[tuple[tuple[str, str], str]]] = {}
-    merged_sources: list[tuple[tuple[str, str], str]] = []
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    incoming: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    merged_sources: list[tuple[tuple[int, int], int]] = []
     for pair in pairs:
         p, q = pair
-        for sym in symbols:
-            a, b = move[(p, sym)], move[(q, sym)]
-            if a == b:
-                merged_sources.append((pair, sym))
+        for a, row in enumerate(table):
+            (x,), (y,) = row[p], row[q]
+            if x == y:
+                merged_sources.append((pair, a))
             else:
-                incoming.setdefault(norm(a, b), []).append((pair, sym))
-    step: dict[tuple[str, str], str] = {}
+                incoming.setdefault((x, y) if x < y else (y, x), []).append((pair, a))
+    step: dict[tuple[int, int], int] = {}
     queue = deque()
-    for pair, sym in merged_sources:
+    for pair, a in merged_sources:
         if pair not in step:
-            step[pair] = sym
+            step[pair] = a
             queue.append(pair)
     while queue:
         target = queue.popleft()
-        for pair, sym in incoming.get(target, ()):
+        for pair, a in incoming.get(target, ()):
             if pair not in step:
-                step[pair] = sym
+                step[pair] = a
                 queue.append(pair)
     if len(step) != len(pairs):
         return None
     return step
 
 
-def _subset_search(automaton, move, budget):
-    full = frozenset(automaton.states)
-    parents: dict[frozenset, tuple[frozenset | None, str | None]] = {full: (None, None)}
+def _subset_search(automaton, budget):
+    table = automaton._succ
+    full = frozenset(range(len(automaton.states)))
+    parents: dict[frozenset, tuple[frozenset | None, int | None]] = {full: (None, None)}
     queue = deque([full])
     while queue:
         subset = queue.popleft()
         if len(subset) == 1:
-            word: list[str] = []
+            word: list[int] = []
             node = subset
             while True:
-                prev, sym = parents[node]
+                prev, a = parents[node]
                 if prev is None:
                     break
-                word.append(sym)
+                word.append(a)
                 node = prev
             return list(reversed(word))
-        for sym in automaton.inputs:
-            image = frozenset(move[(q, sym)] for q in subset)
+        for a, row in enumerate(table):
+            image = frozenset(row[p][0] for p in subset)
             if image not in parents:
-                parents[image] = (subset, sym)
+                parents[image] = (subset, a)
                 queue.append(image)
                 if len(parents) > budget:
                     raise BudgetError(
@@ -523,15 +509,15 @@ def _subset_search(automaton, move, budget):
     raise BudgetError(f"{automaton.name}: subset search exhausted unexpectedly")
 
 
-def _greedy_merge(automaton, move, merge_step):
-    index = {q: i for i, q in enumerate(automaton.states)}
-    current = set(automaton.states)
-    word: list[str] = []
+def _greedy_merge(table, n, merge_step):
+    current = set(range(n))
+    word: list[int] = []
     while len(current) > 1:
-        p, q = sorted(current, key=index.__getitem__)[:2]
+        p, q = sorted(current)[:2]
         while p != q:
-            sym = merge_step[(p, q) if index[p] < index[q] else (q, p)]
-            word.append(sym)
-            current = {move[(s, sym)] for s in current}
-            p, q = move[(p, sym)], move[(q, sym)]
+            a = merge_step[(p, q) if p < q else (q, p)]
+            word.append(a)
+            row = table[a]
+            current = {row[s][0] for s in current}
+            p, q = row[p][0], row[q][0]
     return word

@@ -361,7 +361,18 @@ def cmd_parse(args, constraints):
     return 0
 
 
+def _strings(value, size: int | None = None) -> bool:
+    """Whether a JSON value is a list of strings, of ``size`` items if given."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(item, str) for item in value)
+        and (size is None or len(value) == size)
+    )
+
+
 def cmd_activate(args, constraints):
+    if args.steps < 0:
+        raise InputDomainError(f"steps must be >= 0, got {args.steps}")
     if args.net == "grief-demo":
         net = lingua.grief_demo_network()
     elif args.net == "grief-demo-unaware":
@@ -369,11 +380,15 @@ def cmd_activate(args, constraints):
     else:
         doc = read_json(args.net)
         try:
-            net = lingua.ActivationNetwork.build(
-                doc["nodes"],
-                [tuple(e) for e in doc.get("edges", [])],
-                [tuple(l) for l in doc.get("static_links", [])],
-            )
+            nodes, edges = doc["nodes"], doc.get("edges", [])
+            links = doc.get("static_links", [])
+            if not _strings(nodes):
+                raise ValueError("nodes must be a list of strings")
+            if not isinstance(edges, list) or not all(_strings(e, 2) for e in edges):
+                raise ValueError("each edge must be a pair of strings")
+            if not isinstance(links, list) or not all(_strings(l, 3) for l in links):
+                raise ValueError("each static link must be a triple of strings")
+            net = lingua.ActivationNetwork.build(nodes, map(tuple, edges), links)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDomainError(f"{args.net}: malformed network document: {exc}") from exc
     for node in args.inject or ():

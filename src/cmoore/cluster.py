@@ -249,17 +249,10 @@ def _successor_table(machine: Automaton) -> list[int]:
     """The successor index of each state on the unary tick, or a marker."""
     if len(machine.inputs) != 1:
         return [_NOT_UNARY] * len(machine.states)
-    index = machine._state_index
-    table = []
-    for state in machine.states:
-        targets = machine._delta.get((state, machine.inputs[0]), ())
-        if not targets:
-            table.append(_HALT)
-        elif len(targets) > 1:
-            table.append(_NONDETERMINISTIC)
-        else:
-            table.append(index[targets[0]])
-    return table
+    return [
+        targets[0] if len(targets) == 1 else _NONDETERMINISTIC if targets else _HALT
+        for targets in machine._succ[0]
+    ]
 
 
 class _CompiledCluster:
@@ -462,23 +455,14 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     )
 
 
-def _pure_wheel_size(machine: Automaton) -> int | None:
+def _wheel_size(machine: Automaton) -> int | None:
     """Size of the machine if it is one deterministic cycle through all
     states, else None."""
-    if len(machine.inputs) != 1:
+    try:
+        size, back = _unary_walk(machine)
+    except UnsupportedStructureError:
         return None
-    symbol = machine.inputs[0]
-    seen = []
-    current = machine.initial
-    for _ in range(len(machine.states)):
-        seen.append(current)
-        successors = machine.successors(current, symbol)
-        if len(successors) != 1:
-            return None
-        current = successors[0]
-    if current != machine.initial or len(set(seen)) != len(machine.states):
-        return None
-    return len(machine.states)
+    return size if back == 0 and size == len(machine.states) else None
 
 
 def digit_count(value: int) -> int:
@@ -590,7 +574,7 @@ def cycle_length(node: ClusterNode, verify_budget: int = 1_000_000) -> CycleLeng
     leaf wheels under the union policy.  Deeper nesting has no closed-form
     emission pattern here and is rejected.
     """
-    outer_size = _pure_wheel_size(node.machine)
+    outer_size = _wheel_size(node.machine)
     if outer_size is None:
         raise UnsupportedStructureError(
             f"{node.machine.name}: cycle length is defined for pure wheels only"
@@ -605,7 +589,7 @@ def cycle_length(node: ClusterNode, verify_budget: int = 1_000_000) -> CycleLeng
             raise UnsupportedStructureError(
                 "cycle length supports two-level clusters (outer wheel over leaf wheels)"
             )
-        size = _pure_wheel_size(child.machine)
+        size = _wheel_size(child.machine)
         if size is None:
             raise UnsupportedStructureError(
                 f"{child.machine.name} (inside {state!r}) is not a pure wheel"
@@ -684,6 +668,8 @@ def classify(
     finite unfolding, so it is declared: an open start yields P, an open end
     yields N, both give Z.
     """
+    if horizon < 0:
+        raise InputDomainError(f"horizon must be >= 0, got {horizon}")
     if open_start and open_end:
         return TemporalClass("Z")
     if open_start:
@@ -716,20 +702,21 @@ def _unary_walk(automaton: Automaton) -> tuple[int, int | None]:
         raise UnsupportedStructureError(
             f"{automaton.name}: classification needs a unary machine"
         )
-    symbol = automaton.inputs[0]
-    seen: dict[str, int] = {}
-    current = automaton.initial
-    while current not in seen:
-        seen[current] = len(seen)
-        successors = automaton.successors(current, symbol)
-        if not successors:
+    succ = automaton._succ[0]
+    seen: dict[int, int] = {}
+    p = automaton._state_index[automaton.initial]
+    while p not in seen:
+        seen[p] = len(seen)
+        targets = succ[p]
+        if not targets:
             return len(seen), None
-        if len(successors) > 1:
+        if len(targets) > 1:
             raise UnsupportedStructureError(
-                f"{automaton.name}: nondeterministic at {current!r}; classification needs determinism"
+                f"{automaton.name}: nondeterministic at {automaton.states[p]!r}; "
+                "classification needs determinism"
             )
-        current = successors[0]
-    return len(seen), seen[current]
+        p = targets[0]
+    return len(seen), seen[p]
 
 
 def canonical_machine(temporal: TemporalClass) -> Automaton:
@@ -763,36 +750,28 @@ def bisimilar(left: Automaton, right: Automaton) -> BisimulationResult:
             raise UnsupportedStructureError(
                 f"{machine.name}: bisimulation needs unary machines"
             )
-    nodes = [("left", q) for q in left.states] + [("right", q) for q in right.states]
-    machines = {"left": left, "right": right}
-
-    def successors(node):
-        side, q = node
-        m = machines[side]
-        return tuple((side, s) for s in m.successors(q, m.inputs[0]))
-
-    block = {node: machines[node[0]].output_of(node[1]) for node in nodes}
+    # Refine over the disjoint union: right-hand states follow the left ones.
+    offset = len(left.states)
+    succ = left._succ[0] + tuple(tuple(offset + q for q in t) for t in right._succ[0])
+    block: list = [left.output_map[q] for q in left.states]
+    block += [right.output_map[q] for q in right.states]
     while True:
-        signature = {
-            node: (block[node], frozenset(block[s] for s in successors(node)))
-            for node in nodes
-        }
         relabel: dict = {}
-        new_block = {}
-        for node in nodes:
-            key = signature[node]
-            if key not in relabel:
-                relabel[key] = len(relabel)
-            new_block[node] = relabel[key]
-        if len(set(new_block.values())) == len(set(block.values())):
+        new_block = [
+            relabel.setdefault((block[p], frozenset(block[q] for q in targets)), len(relabel))
+            for p, targets in enumerate(succ)
+        ]
+        if len(relabel) == len(set(block)):
             break
         block = new_block
+    nodes = [("left", q) for q in left.states] + [("right", q) for q in right.states]
     groups: dict = {}
-    for node in nodes:
-        groups.setdefault(block[node], []).append(node)
+    for node, key in zip(nodes, block):
+        groups.setdefault(key, []).append(node)
     partition = tuple(tuple(members) for _, members in sorted(groups.items(), key=str))
-    equivalent = block[("left", left.initial)] == block[("right", right.initial)]
-    return BisimulationResult(equivalent, partition)
+    left_start = left._state_index[left.initial]
+    right_start = offset + right._state_index[right.initial]
+    return BisimulationResult(block[left_start] == block[right_start], partition)
 
 
 def product(

@@ -131,13 +131,25 @@ class Automaton:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
-    def _delta(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """Successors per (state, symbol), ordered by state index."""
-        raw: dict[tuple[str, str], list[str]] = {}
-        for src, sym, dst in self.edges:
-            raw.setdefault((src, sym), []).append(dst)
+    def _succ(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The transition relation on indices: ``_succ[a][p]`` holds the
+        successors of state ``p`` on symbol ``a``, in state-index order.
+        Every kernel reads this one table."""
         index = self._state_index
-        return {key: tuple(sorted(dsts, key=index.__getitem__)) for key, dsts in raw.items()}
+        symbol = {sym: a for a, sym in enumerate(self.inputs)}
+        raw: dict[tuple[int, int], list[int]] = {}
+        for src, sym, dst in self.edges:
+            raw.setdefault((symbol[sym], index[src]), []).append(index[dst])
+        rows = [[()] * len(self.states) for _ in self.inputs]
+        for (a, p), targets in raw.items():
+            rows[a][p] = tuple(sorted(targets))
+        return tuple(map(tuple, rows))
+
+    def _symbol_index(self, symbol: str) -> int:
+        try:
+            return self.inputs.index(symbol)
+        except ValueError:
+            raise InputDomainError(f"{self.name}: unknown symbol {symbol!r}") from None
 
     @cached_property
     def output_map(self) -> dict[str, str]:
@@ -156,21 +168,18 @@ class Automaton:
         return frozenset(self.output_map.values())
 
     def successors(self, state: str, symbol: str) -> tuple[str, ...]:
-        if state not in self._state_index:
+        p = self._state_index.get(state)
+        if p is None:
             raise InputDomainError(f"{self.name}: unknown state {state!r}")
-        if symbol not in self.inputs:
-            raise InputDomainError(f"{self.name}: unknown symbol {symbol!r}")
-        return self._delta.get((state, symbol), ())
+        return tuple(self.states[q] for q in self._succ[self._symbol_index(symbol)][p])
 
     @cached_property
     def deterministic(self) -> bool:
-        return all(len(dsts) <= 1 for dsts in self._delta.values())
+        return all(len(targets) <= 1 for row in self._succ for targets in row)
 
     @cached_property
     def complete(self) -> bool:
-        return all(
-            self._delta.get((q, sym)) for q in self.states for sym in self.inputs
-        )
+        return all(all(row) for row in self._succ)
 
     def out_degree(self, state: str) -> int:
         return sum(1 for src, _, _ in self.edges if src == state)
@@ -261,24 +270,25 @@ def run(automaton: Automaton, symbols: Iterable[str], chooser=None) -> RunTrace:
     Nondeterministic branch points need a chooser; halting (an empty
     successor set) truncates the trace and sets the halt flag.
     """
+    states, index, table = automaton.states, automaton._state_index, automaton._succ
     current = automaton.initial
     visited = [current]
     emitted = [automaton.output_of(current)]
     steps = 0
     halted = False
     for symbol in symbols:
-        successors = automaton.successors(current, symbol)
-        if not successors:
+        targets = table[automaton._symbol_index(symbol)][index[current]]
+        if not targets:
             halted = True
             break
-        if len(successors) == 1:
-            current = successors[0]
+        if len(targets) == 1:
+            current = states[targets[0]]
         elif chooser is None:
             raise InputDomainError(
                 f"{automaton.name}: nondeterministic choice at {current!r} requires a chooser"
             )
         else:
-            current = chooser.choose(successors)
+            current = chooser.choose(tuple(states[q] for q in targets))
         steps += 1
         visited.append(current)
         emitted.append(automaton.output_of(current))
@@ -287,14 +297,11 @@ def run(automaton: Automaton, symbols: Iterable[str], chooser=None) -> RunTrace:
 
 def transition_matrix(automaton: Automaton, symbol: str) -> list[list[int]]:
     """Edge-count matrix for one symbol; entry (p, q) counts edges p -> q."""
-    if symbol not in automaton.inputs:
-        raise InputDomainError(f"{automaton.name}: unknown symbol {symbol!r}")
-    index = automaton._state_index
     n = len(automaton.states)
     matrix = [[0] * n for _ in range(n)]
-    for src, sym, dst in automaton.edges:
-        if sym == symbol:
-            matrix[index[src]][index[dst]] += 1
+    for p, targets in enumerate(automaton._succ[automaton._symbol_index(symbol)]):
+        for q in targets:
+            matrix[p][q] += 1
     return matrix
 
 

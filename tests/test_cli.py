@@ -353,13 +353,17 @@ def test_wrong_shape_store_is_one_json_line(capsys, tmp_path, doc):
         ("activate", []),
         ("activate", {}),
         ("activate", {"nodes": ["a"], "edges": [["a", "z"]]}),
+        ("activate", {"nodes": "abc"}),
+        ("activate", {"nodes": ["a", "b"], "edges": ["ab"]}),
+        ("activate", {"nodes": ["a", "b"], "static_links": [["a", "b"]]}),
         ("cluster", []),
         ("cluster", {"machine": to_doc(wheel(2)),
                      "inner": {"a": {"machine": to_doc(wheel(3)), "scale": "x"}}}),
         ("parse", {"words": []}),
     ],
     ids=[
-        "net-list", "net-without-nodes", "net-unknown-edge", "cluster-list",
+        "net-list", "net-without-nodes", "net-unknown-edge", "net-nodes-string",
+        "net-edge-string", "net-link-pair", "cluster-list",
         "cluster-string-scale", "lexicon-words-list",
     ],
 )
@@ -374,6 +378,20 @@ def test_wrong_shape_document_is_one_json_line(capsys, tmp_path, command, doc):
     code, out = run_cli(capsys, *argv, str(path))
     assert code == 1
     assert one_json_line(out)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["classify", "--machine", "wheel:3", "--horizon", "-1"], "horizon must be >= 0, got -1"),
+        (["activate", "--steps", "-1"], "steps must be >= 0, got -1"),
+    ],
+    ids=["classify-horizon", "activate-steps"],
+)
+def test_negative_count_is_one_json_line(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert one_json_line(out) == message
 
 
 @pytest.mark.parametrize(

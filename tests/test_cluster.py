@@ -292,6 +292,10 @@ class TestClassify:
         chain_result = classify(chain(9), horizon=5)
         assert chain_result == TemporalClass("N", effective=True)
 
+    def test_negative_horizon_is_rejected(self):
+        with pytest.raises(InputDomainError, match=r"horizon must be >= 0, got -1"):
+            classify(wheel(3), horizon=-1)
+
     def test_declared_openness(self):
         assert classify(wheel(3), open_start=True) == TemporalClass("P")
         assert classify(wheel(3), open_end=True) == TemporalClass("N")

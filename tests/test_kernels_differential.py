@@ -1,0 +1,170 @@
+"""Kernels on the shared integer successor table against the string walks.
+
+Random small machines (unary and multi-symbol, partial, nondeterministic,
+with outputs, with state names whose order differs from their index order
+and edges listed in random order) go through the machine queries and every
+kernel, in ``cmoore`` and in ``kernels_reference``.  Each call must return
+the same value, or raise the same error type with the same message.
+"""
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import kernels_reference as ref
+from cmoore.analysis import (
+    monte_carlo_occupancy,
+    path_count_occupancy,
+    stationary_distribution,
+    synchronizing_word,
+)
+from cmoore.cluster import DEFAULT_HORIZON, ClusterNode, bisimilar, classify, cycle_length
+from cmoore.errors import DomainError
+from cmoore.machine import Automaton, FirstChooser, RandomChooser, run, transition_matrix
+
+settings.register_profile(
+    "kernels-differential",
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+DIFFERENTIAL = settings.get_profile("kernels-differential")
+
+# Quotes and spaces make the repr-based bisimulation block order non-trivial.
+NAMES = st.text(alphabet="ab' \"", min_size=1, max_size=3)
+SYMBOLS = st.text(alphabet="exy", min_size=1, max_size=2)
+OUTPUTS = st.sampled_from(("", "", "1", "2"))
+UNKNOWN = "?"  # never a state or symbol name drawn above
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def machines(draw, symbols=None, shape=None):
+    """A machine of 1-6 states; ``shape`` picks how edges are drawn:
+    "any" (random edge sets), "functional" (one successor per state and
+    symbol, i.e. a complete DFA), "complete" (one or two successors),
+    "sparse" (0-2 successors, mostly one) or "wheel" (one cycle through
+    every state, in random order)."""
+    states = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    k = symbols or draw(st.integers(1, 3))
+    inputs = draw(st.lists(SYMBOLS, min_size=k, max_size=k, unique=True))
+    shape = shape or draw(st.sampled_from(("any", "functional", "complete", "sparse", "wheel")))
+    if shape == "any":
+        candidates = [(p, a, q) for p in states for a in inputs for q in states]
+        edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=len(candidates)))
+    elif shape == "wheel":
+        cycle = draw(st.permutations(states))
+        edges = [(p, a, q) for p, q in zip(cycle, cycle[1:] + cycle[:1]) for a in inputs]
+    else:
+        counts = {"functional": (1,), "complete": (1, 2), "sparse": (0, 1, 1, 1, 2)}[shape]
+        edges = []
+        for p in states:
+            for a in inputs:
+                targets = draw(st.sets(st.sampled_from(states), min_size=1, max_size=2))
+                edges += [(p, a, q) for q in sorted(targets)[: draw(st.sampled_from(counts))]]
+        edges = draw(st.permutations(edges))
+    outputs = {q: draw(OUTPUTS) for q in states}
+    return Automaton.make("m", states, inputs, draw(st.sampled_from(states)), outputs, edges)
+
+
+def unary_machines(shape=None):
+    return machines(symbols=1, shape=shape)
+
+
+@DIFFERENTIAL
+@given(machines())
+def test_machine_queries_match_reference(m):
+    assert m.deterministic == ref.deterministic(m)
+    assert m.complete == ref.complete(m)
+    for symbol in m.inputs + (UNKNOWN,):
+        assert outcome(transition_matrix, m, symbol) == outcome(ref.transition_matrix, m, symbol)
+        for state in m.states + (UNKNOWN,):
+            assert outcome(m.successors, state, symbol) == outcome(ref.successors, m, state, symbol)
+
+
+@DIFFERENTIAL
+@given(machines(), st.data())
+def test_run_matches_reference(m, data):
+    word = data.draw(st.lists(st.sampled_from(m.inputs + (UNKNOWN,)), max_size=12))
+    seed = data.draw(st.integers(0, 2**32))
+    assert outcome(run, m, word) == outcome(ref.run, m, word)
+    assert outcome(run, m, word, FirstChooser()) == outcome(ref.run, m, word, FirstChooser())
+    assert outcome(run, m, word, RandomChooser(seed)) == outcome(
+        ref.run, m, word, RandomChooser(seed)
+    )
+
+
+# a fork into two absorbing states: two closed classes
+FORK = Automaton.make(
+    "fork", "abc", "e", "a", {"b": "1"},
+    [("a", "e", "c"), ("a", "e", "b"), ("b", "e", "b"), ("c", "e", "c")],
+)
+
+
+@DIFFERENTIAL
+@example(FORK, 3, 0)
+@given(
+    st.one_of(unary_machines(), unary_machines("complete"), machines()),
+    st.integers(-1, 30),
+    st.integers(0, 2**32),
+)
+def test_occupancy_kernels_match_reference(m, steps, seed):
+    assert outcome(path_count_occupancy, m, steps) == outcome(ref.path_count_occupancy, m, steps)
+    assert outcome(stationary_distribution, m) == outcome(ref.stationary_distribution, m)
+    assert outcome(monte_carlo_occupancy, m, steps, seed) == outcome(
+        ref.monte_carlo_occupancy, m, steps, seed
+    )
+
+
+@DIFFERENTIAL
+@given(
+    st.one_of(machines(shape="functional"), machines()),
+    st.integers(0, 7),
+    st.sampled_from((1, 3, 10, 1_000_000)),
+)
+def test_synchronizing_word_matches_reference(m, subset_limit, budget):
+    assert outcome(synchronizing_word, m, subset_limit, budget) == outcome(
+        ref.synchronizing_word, m, subset_limit, budget
+    )
+
+
+@DIFFERENTIAL
+@given(st.one_of(unary_machines(), machines()), st.one_of(unary_machines(), machines()))
+def test_bisimilar_matches_reference(left, right):
+    assert outcome(bisimilar, left, right) == outcome(ref.bisimilar, left, right)
+
+
+@DIFFERENTIAL
+@given(st.one_of(unary_machines(), machines()), st.integers(0, 8))
+def test_classify_matches_reference(m, horizon):
+    for h in (horizon, DEFAULT_HORIZON):
+        assert outcome(classify, m, h) == outcome(ref.classify, m, h)
+
+
+@st.composite
+def wheel_clusters(draw):
+    """A leaf, or an outer machine over 1-3 leaves under either driving
+    policy; unary wheels are likely enough that most answers are cycle
+    lengths."""
+
+    def part():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(machines())
+        return draw(unary_machines(draw(st.sampled_from(("wheel", "wheel", "wheel", "sparse")))))
+
+    outer = part()
+    hosts = draw(st.lists(st.sampled_from(outer.states), max_size=3, unique=True))
+    if not hosts:
+        return ClusterNode.leaf(outer)
+    inner = tuple((q, ClusterNode.leaf(part())) for q in hosts)
+    return ClusterNode(outer, 1, inner, draw(st.sampled_from(("union", "union", "current-state"))))
+
+
+@DIFFERENTIAL
+@given(wheel_clusters())
+def test_cycle_length_matches_reference(node):
+    assert outcome(cycle_length, node) == outcome(ref.cycle_length, node)
