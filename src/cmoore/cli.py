@@ -43,17 +43,19 @@ def env_constraints() -> Constraints:
             values[keys[key]] = int(value)
         except ValueError:
             raise InputDomainError(f"CMA_CONSTRAINTS: bad value for {key!r}") from None
-    return Constraints(**values)
+    try:
+        return Constraints(**values)
+    except ValueError as exc:
+        raise InputDomainError(f"CMA_CONSTRAINTS: {exc}") from None
 
 
 def load_machine(text: str, constraints: Constraints) -> Automaton:
     head = text.partition(":")[0]
     if head in _SPEC_KINDS:
         return build(parse_spec(text), constraints)
-    path = Path(text)
-    if path.exists():
+    if Path(text).exists():
         try:
-            return from_json(path.read_text())
+            return from_json(read_text(text))
         except (ValueError, json.JSONDecodeError) as exc:
             raise InputDomainError(f"{text}: {exc}") from exc
     raise InputDomainError(f"{text!r} is neither a known machine spec nor a file")
@@ -63,6 +65,13 @@ def read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
+        raise InputDomainError(f"{path}: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
@@ -138,7 +147,7 @@ def cmd_export_dot(args, constraints):
     machine = load_machine(args.machine, constraints)
     text = to_dot(machine)
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
         emit(args, f"wrote {args.out}", {"path": args.out})
     else:
         print(text, end="")
@@ -185,7 +194,7 @@ def cmd_approx_dist(args, constraints):
         f"{label}={count}" for label, count in ordered.items()
     )
     if args.out:
-        Path(args.out).write_text(to_json(machine))
+        write_text(args.out, to_json(machine))
         text += f" (wrote {args.out})"
     emit(args, text, {"size": len(machine.states), "counts": ordered})
     return 0

@@ -87,31 +87,6 @@ class ByteCell:
         return self.head == 0
 
 
-def _apply_cell(cell: ByteCell, symbol: str) -> StepOutput:
-    head = cell.head
-    bits = cell.bits
-    boundary = False
-    if symbol == HEAD_DOWN:
-        if head == 0:
-            boundary = True
-        else:
-            head -= 1
-    elif symbol == HEAD_UP:
-        if head == 7:
-            boundary = True
-        else:
-            head += 1
-    elif symbol == WRITE_ONE:
-        bits = bits[:head] + (1,) + bits[head + 1 :]
-    elif symbol == WRITE_ZERO:
-        bits = bits[:head] + (0,) + bits[head + 1 :]
-    else:  # idle tick: the head decays one chain step, content persists
-        if head > 0:
-            head -= 1
-    new = replace(cell, bits=bits, head=head)
-    return StepOutput(new, bits[head], boundary)
-
-
 @dataclass(frozen=True)
 class Tape:
     """A 256-bit replicated tape with a decaying head counter."""
@@ -222,74 +197,80 @@ def corrupt(tape: Tape, replica: int, position: int) -> Tape:
     return replace(tape, contents=tuple(masks))
 
 
-def _decay_head(head: int) -> int:
-    """Coordinatewise decay: one set bit of the position clears per tick."""
-    return head & (head - 1) if head else 0
+def _run(target: "ByteCell | Tape", symbols: Iterable[str]):
+    """The integer engine behind ``apply_symbol``, ``run_script`` and ``idle``.
 
-
-def _write_position(old: int, new: int) -> int | None:
-    changed = old ^ new
-    return changed.bit_length() - 1 if changed else None
-
-
-def _apply_tape(tape: Tape, symbol: str) -> StepOutput:
-    head = tape.head
-    counter_head = tape.counter_head
-    contents = tape.contents
+    The target is unpacked once: its replica masks (a cell is one replica),
+    the majority mask ``maj`` that reads see, the head and the counter head
+    (never read for a cell).  A write reaches every replica, so a written
+    position holds the same bit in all of them and in ``maj``; the mask
+    ``written`` records those positions, and one value is built at the end.
+    Returns the value, the emitted bits and the last symbol's boundary flag.
+    """
+    cell = isinstance(target, ByteCell)
+    if cell:
+        masks, top, counter_head = (target.as_int,), 7, 0
+    elif isinstance(target, Tape):
+        masks, top, counter_head = target.contents, target.size_bits - 1, target.counter_head
+    else:
+        raise InputDomainError(f"cannot apply symbols to {type(target).__name__}")
+    a, b, c = masks if len(masks) == 3 else masks * 3
+    maj = a & b | a & c | b & c
+    head = target.head
+    written = 0
+    emitted = []
     boundary = False
-    if symbol == HEAD_DOWN or symbol == HEAD_UP:
-        if symbol == HEAD_DOWN:
-            new_head = head - 1 if head > 0 else 0
-            boundary = head == 0
+    for symbol in symbols:
+        symbol = normalize_symbol(symbol)
+        boundary = False
+        if symbol == WRITE_ONE:
+            maj |= 1 << head
+            written |= 1 << head
+        elif symbol == WRITE_ZERO:
+            maj &= ~(1 << head)
+            written |= 1 << head
+        elif symbol == TICK:  # a cell head falls one chain step, a tape head loses one set bit
+            if head:
+                head = head - 1 if cell else head & (head - 1)
+            if counter_head:
+                counter_head -= 1
         else:
-            new_head = head + 1 if head < tape.size_bits - 1 else head
-            boundary = head == tape.size_bits - 1
-        touched = _write_position(head, new_head)
-        if touched is not None:
-            counter_head = touched
-        head = new_head
-    elif symbol == WRITE_ONE:
-        contents = tuple(mask | (1 << head) for mask in contents)
-    elif symbol == WRITE_ZERO:
-        contents = tuple(mask & ~(1 << head) for mask in contents)
-    else:  # idle: both the head encoding and the counter's own head decay
-        head = _decay_head(head)
-        if counter_head > 0:
-            counter_head -= 1
-    new = replace(tape, contents=contents, head=head, counter_head=counter_head)
-    return StepOutput(new, read(new, head), boundary)
+            moved = head - 1 if symbol == HEAD_DOWN else head + 1
+            boundary = not 0 <= moved <= top
+            if not boundary:
+                counter_head = (head ^ moved).bit_length() - 1
+                head = moved
+        emitted.append(maj >> head & 1)
+    if cell:
+        return ByteCell.from_int(maj, head, target.scale), emitted, boundary
+    contents = tuple(mask & ~written | maj & written for mask in masks)
+    value = replace(target, contents=contents, head=head, counter_head=counter_head)
+    return value, emitted, boundary
 
 
 def apply_symbol(target: "ByteCell | Tape", symbol: str) -> StepOutput:
     """One command or idle tick; returns the new value, the bit now under the
     head, and whether a commanded move saturated at a boundary."""
-    canonical = normalize_symbol(symbol)
-    if isinstance(target, ByteCell):
-        return _apply_cell(target, canonical)
-    if isinstance(target, Tape):
-        return _apply_tape(target, canonical)
-    raise InputDomainError(f"cannot apply symbols to {type(target).__name__}")
+    value, (bit,), boundary = _run(target, (symbol,))
+    return StepOutput(value, bit, boundary)
 
 
 def run_script(target: "ByteCell | Tape", symbols: Iterable[str]):
     """Apply a whole symbol sequence; returns the final value and the emitted
     bits."""
-    emitted = []
-    for symbol in symbols:
-        target, bit, _ = apply_symbol(target, symbol)
-        emitted.append(bit)
-    return target, emitted
+    value, emitted, _ = _run(target, symbols)
+    return value, emitted
 
 
 def idle(target: "ByteCell | Tape", ticks: int) -> "ByteCell | Tape":
-    """Let time pass: content is untouched while heads decay to rest."""
+    """Let time pass: content is untouched while heads decay to rest.
+
+    Eight idle ticks reach rest from anywhere (a tape head below 256 has at
+    most eight set bits; cell and counter heads are at most 7) and idle
+    ticks at rest change nothing, so at most eight are run."""
     if ticks < 0:
         raise InputDomainError(f"ticks must be >= 0, got {ticks}")
-    for _ in range(ticks):
-        if target.at_rest:
-            break
-        target = apply_symbol(target, TICK).value
-    return target
+    return _run(target, (TICK,) * min(ticks, 8))[0]
 
 
 def transition_table_size(alphabet_size: int, positions: int, symbols: int) -> int:

@@ -110,10 +110,12 @@ class TestValidate:
         assert code == 0
         assert "ss:" in out
 
-    def test_bad_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CMA_CONSTRAINTS", "zz=1")
+    @pytest.mark.parametrize("override", ["zz=1", "m=0", "m=-5"])
+    def test_bad_env_override(self, capsys, monkeypatch, override):
+        monkeypatch.setenv("CMA_CONSTRAINTS", override)
         code, out = run_cli(capsys, "validate", "--machine", "wheel:4")
         assert code == 1
+        assert one_json_line(out)
 
 
 class TestCycleLength:
@@ -275,6 +277,7 @@ FILE_OPTIONS = {
     "fluent": ["fluent", "--name", "rain", "--at", "1.0", "--store"],
     "parse": ["parse", "--sentence", "the dog", "--lexicon"],
     "activate": ["activate", "--net"],
+    "machine": ["occupancy", "--machine"],
 }
 
 
@@ -303,6 +306,22 @@ def test_bad_input_file_is_one_json_line(capsys, tmp_path, command, kind):
     payload = json.loads(line)
     assert payload["error"] == "input"
     assert payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["export-dot", "--machine", "wheel:2"],
+        ["approx-dist", "--probs", "1/2,1/2", "--eps", "1/10"],
+    ],
+    ids=["export-dot", "approx-dist"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_one_json_line(capsys, tmp_path, command, target):
+    out = tmp_path if target == "directory" else tmp_path / "absent" / "out"
+    code, printed = run_cli(capsys, *command, "--out", str(out))
+    assert code == 1
+    assert one_json_line(printed)
 
 
 def test_inner_machine_on_unknown_state_is_one_json_line(capsys):
