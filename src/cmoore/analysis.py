@@ -34,7 +34,9 @@ from .menagerie import annotate_outputs, wheel
 
 EXACT_PATH_LIMIT = 200
 SUBSET_SEARCH_LIMIT = 20
-PAIR_GRAPH_LIMIT = 500
+SYNC_WORK_LIMIT = 100_000_000
+STATIONARY_RESIDUAL = 1e-12
+STATIONARY_MAX_ROUNDS = 500_000
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,7 @@ def _period(nodes: set[int], succ: list[list[int]]) -> int:
     return abs(period) or 1
 
 
-def stationary_distribution(
-    automaton: Automaton, residual: float = 1e-12, max_rounds: int = 500_000
-) -> OccupancyVector:
+def stationary_distribution(automaton: Automaton) -> OccupancyVector:
     """Long-run occupancy under uniform choice among successors.
 
     The chain is restricted to the states reachable from the initial state;
@@ -206,7 +206,7 @@ def stationary_distribution(
     is ambiguous and the closed classes are reported.  Deterministic cycles
     get an exact uniform answer (the running-average limit); everything else
     is solved by power iteration, averaging over the chain's period so
-    periodic classes still converge below the residual.
+    periodic classes still converge below ``STATIONARY_RESIDUAL``.
     """
     succ = _unary_table(automaton)
     start = automaton._state_index[automaton.initial]
@@ -251,13 +251,13 @@ def stationary_distribution(
         return out
 
     v = [1.0 / size] * size
-    for _ in range(max_rounds):
+    for _ in range(STATIONARY_MAX_ROUNDS):
         window = [v]
         for _ in range(period):
             window.append(push(window[-1]))
         averaged = [math.fsum(col) / period for col in zip(*window[:period])]
         drift = push(averaged)
-        if math.fsum(abs(a - b) for a, b in zip(drift, averaged)) < residual:
+        if math.fsum(abs(a - b) for a, b in zip(drift, averaged)) < STATIONARY_RESIDUAL:
             total = math.fsum(averaged)
             entries = tuple(
                 (q, averaged[position[i]] / total if i in closed_set else 0.0)
@@ -266,7 +266,8 @@ def stationary_distribution(
             return OccupancyVector(entries, horizon=None, exact=False)
         v = window[-1]
     raise BudgetError(
-        f"{automaton.name}: power iteration did not reach residual {residual} in {max_rounds} rounds"
+        f"{automaton.name}: power iteration did not reach residual {STATIONARY_RESIDUAL}"
+        f" in {STATIONARY_MAX_ROUNDS} rounds"
     )
 
 
@@ -406,11 +407,12 @@ def synchronizing_word(
 ) -> SyncResult | None:
     """Find a word driving every state to one common state, or None.
 
-    Machines up to ``subset_limit`` states get a breadth-first search over
-    state subsets and therefore a shortest word; larger machines fall back to
-    greedy pair merging, flagged as not necessarily shortest.  Note the
-    reached sink need not be the initial state; the result records whether
-    it is.
+    Greedy pair merging decides whether the machine synchronizes, within
+    ``SYNC_WORK_LIMIT`` (else ``BudgetError``).  Machines up to
+    ``subset_limit`` states (20 by default) then get a breadth-first search
+    over state subsets and so a shortest word; above that the greedy word is
+    kept, flagged as not necessarily shortest.  The reached sink need not be
+    the initial state; the result records whether it is.
     """
     if not automaton.deterministic or not automaton.complete:
         raise InputDomainError(
@@ -419,24 +421,16 @@ def synchronizing_word(
     n = len(automaton.states)
     if n == 1:
         return SyncResult((), automaton.initial, True, True)
-    if n > PAIR_GRAPH_LIMIT:
-        raise BudgetError(
-            f"{automaton.name}: {n} states exceed the pair-graph budget {PAIR_GRAPH_LIMIT}"
-        )
-    table = automaton._succ
-    merge_step = _pair_merge_table(table, n)
-    if merge_step is None:
+    word = _greedy_merge(automaton)
+    if word is None:
         return None
-    if n <= subset_limit:
+    shortest = n <= subset_limit
+    if shortest:
         word = _subset_search(automaton, budget)
-        shortest = True
-    else:
-        word = _greedy_merge(table, n, merge_step)
-        shortest = False
-    image = set(range(n))
+    table = automaton._succ
+    sink = 0  # the word sends every state to the sink, state 0 included
     for a in word:
-        image = {table[a][p][0] for p in image}
-    (sink,) = image
+        sink = table[a][sink][0]
     return SyncResult(
         tuple(automaton.inputs[a] for a in word),
         automaton.states[sink],
@@ -445,39 +439,60 @@ def synchronizing_word(
     )
 
 
-def _pair_merge_table(table, n):
-    """Per state pair ``(p, q)`` with ``p < q``, the first symbol of a
-    shortest merging word.
-
-    Built by backward breadth-first search from already-merged pairs; returns
-    None when some pair can never merge (the machine is not synchronizing).
+def _greedy_merge(automaton):
+    """Greedy pair merging (Eppstein, SIAM J. Comput. 19(3), 1990): merge the
+    image's two lowest states by a shortest word, found by breadth-first
+    search over pairs keyed ``p * n + q``, and move the image along it.  None
+    when a search exhausts, as that pair never merges.  Work is 1 per state
+    moved and 50 per pair visited, about what a visit costs in time.
     """
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    incoming: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    merged_sources: list[tuple[tuple[int, int], int]] = []
-    for pair in pairs:
-        p, q = pair
-        for a, row in enumerate(table):
-            (x,), (y,) = row[p], row[q]
-            if x == y:
-                merged_sources.append((pair, a))
-            else:
-                incoming.setdefault((x, y) if x < y else (y, x), []).append((pair, a))
-    step: dict[tuple[int, int], int] = {}
-    queue = deque()
-    for pair, a in merged_sources:
-        if pair not in step:
-            step[pair] = a
-            queue.append(pair)
-    while queue:
-        target = queue.popleft()
-        for pair, a in incoming.get(target, ()):
-            if pair not in step:
-                step[pair] = a
-                queue.append(pair)
-    if len(step) != len(pairs):
-        return None
-    return step
+    n = len(automaton.states)
+    rows = [[succ[0] for succ in row] for row in automaton._succ]
+    letters = len(rows)
+    image = set(range(n))
+    word: list[int] = []
+    work = 0
+
+    def spend(units):
+        nonlocal work
+        work += units
+        if work > SYNC_WORK_LIMIT:
+            raise BudgetError(
+                f"{automaton.name}: greedy pair merging exceeded the work limit {SYNC_WORK_LIMIT}"
+            )
+
+    while len(image) > 1:
+        p, q = sorted(image)[:2]
+        start = p * n + q
+        parent = {start: None}
+        queue = deque([start])
+        merge = None
+        while queue and merge is None:
+            key = queue.popleft()
+            spend(50)
+            p, q = divmod(key, n)
+            for a, row in enumerate(rows):
+                x, y = row[p], row[q]
+                if x == y:
+                    merge = [a]
+                    break
+                target = x * n + y if x < y else y * n + x
+                if target not in parent:
+                    parent[target] = key * letters + a
+                    queue.append(target)
+        if merge is None:
+            return None
+        step = parent[key]
+        while step is not None:
+            key, a = divmod(step, letters)
+            merge.append(a)
+            step = parent[key]
+        for a in reversed(merge):
+            spend(len(image))
+            row = rows[a]
+            image = {row[s] for s in image}
+            word.append(a)
+    return word
 
 
 def _subset_search(automaton, budget):
@@ -508,16 +523,3 @@ def _subset_search(automaton, budget):
                     )
     raise BudgetError(f"{automaton.name}: subset search exhausted unexpectedly")
 
-
-def _greedy_merge(table, n, merge_step):
-    current = set(range(n))
-    word: list[int] = []
-    while len(current) > 1:
-        p, q = sorted(current)[:2]
-        while p != q:
-            a = merge_step[(p, q) if p < q else (q, p)]
-            word.append(a)
-            row = table[a]
-            current = {row[s][0] for s in current}
-            p, q = row[p][0], row[q][0]
-    return word

@@ -452,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the wheel as CMA-JSON")
     p.set_defaults(handler=cmd_approx_dist)
 
-    p = sub.add_parser("sync-word", help="shortest synchronizing word")
+    p = sub.add_parser("sync-word", help="synchronizing word: shortest up to 20 states, greedy"
+                       f" above, work limit SYNC_WORK_LIMIT={analysis.SYNC_WORK_LIMIT:.0e}")
     common(p)
     p.set_defaults(handler=cmd_sync_word)
 

@@ -26,6 +26,7 @@ from .machine import Violation
 TICK_POLICIES = ("external", "union", "current-state")
 DEFAULT_HORIZON = 2**64
 UNFOLD_BUDGET = 100_000
+CYCLE_VERIFY_BUDGET = 1_000_000
 TEMPORAL_FAMILIES = ("Z", "N", "P", "L", "C")
 
 
@@ -139,10 +140,6 @@ class ClusterNode:
         if self.tick_policy != "external" and not self.inner:
             raise ValueError(f"tick_policy {self.tick_policy!r} needs at least one inner node")
 
-    @property
-    def inner_map(self) -> dict[str, "ClusterNode"]:
-        return dict(self.inner)
-
     @cached_property
     def _compiled(self) -> "_CompiledCluster":
         return _CompiledCluster(self)
@@ -162,10 +159,6 @@ class ClusterState:
 
     def child(self, state: str) -> "ClusterState":
         return dict(self.children)[state]
-
-    def shape_key(self):
-        """Configuration identity: tick counters excluded."""
-        return (self.current, tuple((s, c.shape_key()) for s, c in self.children))
 
     def render(self) -> str:
         if not self.children:
@@ -567,12 +560,13 @@ def _first_return_by_unfolding(outer_size: int, inner_sizes: Sequence[int]) -> i
             return t
 
 
-def cycle_length(node: ClusterNode, verify_budget: int = 1_000_000) -> CycleLength:
+def cycle_length(node: ClusterNode) -> CycleLength:
     """Exact return time of an all-wheel cluster (analytic, cross-checked).
 
     Supported shapes: a single wheel, or one outer wheel whose states hold
     leaf wheels under the union policy.  Deeper nesting has no closed-form
-    emission pattern here and is rejected.
+    emission pattern here and is rejected.  Up to ``CYCLE_VERIFY_BUDGET``
+    ticks, the return time is cross-checked by stepping the cluster.
     """
     outer_size = _wheel_size(node.machine)
     if outer_size is None:
@@ -597,7 +591,7 @@ def cycle_length(node: ClusterNode, verify_budget: int = 1_000_000) -> CycleLeng
         inner_sizes.append(size)
     value = wheel_cluster_cycle(outer_size, inner_sizes)
     verified = False
-    if value <= verify_budget:
+    if value <= CYCLE_VERIFY_BUDGET:
         simulated = _first_return_by_unfolding(outer_size, inner_sizes)
         if simulated != value:
             raise AssertionError(

@@ -94,9 +94,14 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     return SimulationReport(ticks, ran, tuple(counts.items()), emissions, halted)
 
 
+def shape_key(state: ClusterState):
+    """Configuration identity: tick counters excluded."""
+    return (state.current, tuple((s, shape_key(c)) for s, c in state.children))
+
+
 def unfold(node: ClusterNode, budget: int = 100_000, name: str | None = None) -> Automaton:
     start = initial_state(node)
-    names: dict = {start.shape_key(): start.render()}
+    names: dict = {shape_key(start): start.render()}
     order = [start.render()]
     outputs = {start.render(): node.machine.output_of(start.current)}
     edges = []
@@ -106,7 +111,7 @@ def unfold(node: ClusterNode, budget: int = 100_000, name: str | None = None) ->
         successor, result = tick(state, node)
         if result.halted:
             continue
-        key = successor.shape_key()
+        key = shape_key(successor)
         label = names.get(key)
         if label is None:
             label = successor.render()
@@ -116,7 +121,7 @@ def unfold(node: ClusterNode, budget: int = 100_000, name: str | None = None) ->
             frontier.append(successor)
             if len(names) > budget:
                 raise BudgetError(f"unfolding exceeded {budget} configurations")
-        edges.append((names[state.shape_key()], "e", label))
+        edges.append((names[shape_key(state)], "e", label))
     return Automaton.make(
         name or f"unfold({node.machine.name})",
         order,

@@ -4,10 +4,11 @@ These are the string-walking versions the kernels had before every kernel
 read the automaton's cached integer successor table: a transition dict
 keyed by ``(state, symbol)`` with validated ``successors`` lookups on top,
 per-call successor index lists for the occupancy kernels, a ``move`` dict
-and name-keyed pairs for the synchronizing-word search, per-machine walks
-for wheel sizes and classification, and bisimulation over ``(side,
-state)`` tuples.  None of them reads ``Automaton._succ``, so
-``test_kernels_differential`` can check the shared table against them.
+and an all-pairs merge table over name-keyed pairs (with its 500-state
+cap) for the synchronizing-word search, per-machine walks for wheel sizes
+and classification, and bisimulation over ``(side, state)`` tuples.  None
+of them reads ``Automaton._succ``, so ``test_kernels_differential`` can
+check the shared table against them.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from random import Random
 
 from cmoore.analysis import (
     EXACT_PATH_LIMIT,
-    PAIR_GRAPH_LIMIT,
     SUBSET_SEARCH_LIMIT,
     OccupancyVector,
     SyncResult,
@@ -242,6 +242,11 @@ def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> Occupa
 
 
 # -- synchronizing words ---------------------------------------------------
+
+# The all-pairs merge table grows with the square of the state count, so it
+# refuses machines above this size.
+PAIR_GRAPH_LIMIT = 500
+
 
 def synchronizing_word(
     automaton: Automaton,

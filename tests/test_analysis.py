@@ -5,6 +5,7 @@ enumeration, a direct Fibonacci recurrence, exact cycle arithmetic, and
 brute-force word application.
 """
 import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -21,6 +22,7 @@ from cmoore.analysis import (
 )
 from cmoore.errors import (
     AmbiguousChainError,
+    BudgetError,
     HaltedError,
     InfeasibleError,
     InputDomainError,
@@ -314,3 +316,68 @@ class TestGreedySynchronization:
         for sym in result.word:
             image = {m.successors(q, sym)[0] for q in image}
         assert image == {result.sink}
+
+    def test_kernels_shaped_dfas_answer_at_any_size(self):
+        for n in (600, 2_000, 10_000):
+            m = kernels_shaped_dfa(n, seed=n)
+            started = time.perf_counter()
+            result = synchronizing_word(m)
+            elapsed = time.perf_counter() - started
+            assert result is not None
+            assert not result.shortest
+            assert replay(m, result.word) == {result.sink}
+            if n == 10_000:
+                assert elapsed < 2.0
+
+    @pytest.mark.parametrize("n", [30, 50, 100])
+    def test_cerny_words_have_quadratic_length(self, n):
+        m = cerny(n)
+        result = synchronizing_word(m)
+        assert len(result.word) == (n - 1) ** 2
+        assert replay(m, result.word) == {result.sink}
+
+    def test_cerny_500_answers(self):
+        result = synchronizing_word(cerny(500))
+        assert result is not None
+        assert len(result.word) == 499**2
+
+    def test_cerny_10000_exceeds_the_work_limit_promptly(self):
+        m = cerny(10_000)
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="work limit"):
+            synchronizing_word(m)
+        assert time.perf_counter() - started < 10.0
+
+
+def kernels_shaped_dfa(n, seed):
+    """A synchronizing DFA over a, b, c: a and b form a Cerny automaton on
+    shuffled states, and c maps every state into a random third of them."""
+    rng = Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    image = rng.sample(range(n), n // 3)
+    names = [f"s{i}" for i in range(n)]
+    edges = []
+    for k, q in enumerate(order):
+        edges.append((names[q], "a", names[order[(k + 1) % n]]))
+        edges.append((names[q], "b", names[order[0] if k == n - 1 else q]))
+        edges.append((names[q], "c", names[rng.choice(image)]))
+    return Automaton.make(f"dfa-{n}", names, ("a", "b", "c"), names[0], edges=edges)
+
+
+def cerny(n):
+    """The Cerny automaton: a turns the cycle, b moves state 0 onto 1.  Its
+    shortest synchronizing word has (n - 1)**2 letters."""
+    names = [f"q{i}" for i in range(n)]
+    edges = [(q, "a", names[(i + 1) % n]) for i, q in enumerate(names)]
+    edges += [(q, "b", names[1] if i == 0 else q) for i, q in enumerate(names)]
+    return Automaton.make(f"cerny-{n}", names, ("a", "b"), names[0], edges=edges)
+
+
+def replay(machine, word):
+    """Oracle: the image of all states under ``word``, from the edge list."""
+    move = {(p, symbol): q for p, symbol, q in machine.edges}
+    image = set(machine.states)
+    for symbol in word:
+        image = {move[(q, symbol)] for q in image}
+    return image

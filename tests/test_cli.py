@@ -6,6 +6,7 @@ import pytest
 from cmoore.cli import dispatch
 from cmoore.machine import from_json, to_doc, to_json
 from cmoore.menagerie import wheel
+from test_analysis import cerny, kernels_shaped_dfa
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,23 @@ class TestOtherCommands:
         assert "word=x" in out
         code, out = run_cli(capsys, "sync-word", "--machine", "wheel:5")
         assert out.strip() == "none"
+
+    def test_sync_word_past_the_subset_search_is_greedy(self, capsys, tmp_path):
+        path = tmp_path / "dfa.json"
+        path.write_text(to_json(kernels_shaped_dfa(600, seed=1)))
+        code, out = run_cli(capsys, "sync-word", "--machine", str(path))
+        assert code == 0
+        assert "shortest=false" in out
+
+    def test_sync_word_over_the_work_limit_is_one_json_line(self, capsys, tmp_path):
+        path = tmp_path / "cerny.json"
+        path.write_text(to_json(cerny(10_000)))
+        code, out = run_cli(capsys, "sync-word", "--machine", str(path))
+        assert code == 1
+        (line,) = out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "budget"
+        assert "work limit" in payload["message"]
 
     def test_bisim(self, capsys):
         code, out = run_cli(capsys, "bisim", "--machine", "wheel:4", "--other", "wheel:2")

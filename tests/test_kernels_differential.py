@@ -4,9 +4,11 @@ Random small machines (unary and multi-symbol, partial, nondeterministic,
 with outputs, with state names whose order differs from their index order
 and edges listed in random order) go through the machine queries and every
 kernel, in ``cmoore`` and in ``kernels_reference``.  Each call must return
-the same value, or raise the same error type with the same message.
+the same value, or raise the same error type with the same message.  The
+one exception is a greedy synchronizing word (past ``subset_limit``): it
+must exist exactly when the reference's does and replay to its sink.
 """
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernels_reference as ref
@@ -120,16 +122,58 @@ def test_occupancy_kernels_match_reference(m, steps, seed):
     )
 
 
+BUDGETS = st.sampled_from((1, 3, 10, 1_000_000))
+
+
+@st.composite
+def larger_dfas(draw):
+    """A complete DFA of 7-40 states over 1-3 letters, past the subset
+    search's reach in these tests.  Each letter is a random map or, one time
+    in three, a permutation, so some pairs never merge."""
+    n = draw(st.integers(7, 40))
+    states = draw(st.permutations([f"q{i}" for i in range(n)]))
+    edges = []
+    for symbol in ("x", "y", "z")[: draw(st.integers(1, 3))]:
+        if draw(st.integers(0, 2)) == 0:
+            targets = draw(st.permutations(range(n)))
+        else:
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        edges += [(p, symbol, states[t]) for p, t in zip(states, targets)]
+    inputs = sorted({symbol for _, symbol, _ in edges})
+    return Automaton.make("dfa", states, inputs, states[0], {}, edges)
+
+
 @DIFFERENTIAL
-@given(
-    st.one_of(machines(shape="functional"), machines()),
-    st.integers(0, 7),
-    st.sampled_from((1, 3, 10, 1_000_000)),
-)
-def test_synchronizing_word_matches_reference(m, subset_limit, budget):
+@given(st.one_of(machines(shape="functional"), machines()), st.data(), BUDGETS)
+def test_synchronizing_word_matches_reference(m, data, budget):
+    """Up to ``subset_limit`` states the subset search answers, as before."""
+    subset_limit = data.draw(st.integers(len(m.states), 7))
     assert outcome(synchronizing_word, m, subset_limit, budget) == outcome(
         ref.synchronizing_word, m, subset_limit, budget
     )
+
+
+@DIFFERENTIAL
+@given(st.one_of(machines(shape="functional"), machines(), larger_dfas()), st.data(), BUDGETS)
+def test_greedy_synchronizing_word_replays(m, data, budget):
+    """Past ``subset_limit`` the greedy word may differ from the reference's,
+    whose merges break ties differently; it exists exactly when the
+    reference's does and sends every state to the sink."""
+    assume(len(m.states) > 1)
+    subset_limit = data.draw(st.integers(0, len(m.states) - 1))
+    got = outcome(synchronizing_word, m, subset_limit, budget)
+    want = outcome(ref.synchronizing_word, m, subset_limit, budget)
+    if want[0] != "ok" or want[1] is None:
+        assert got == want
+        return
+    kind, result = got
+    assert kind == "ok" and result is not None
+    assert not result.shortest
+    image = set(m.states)
+    for symbol in result.word:
+        image = {ref.successors(m, q, symbol)[0] for q in image}
+    assert image == {result.sink}
+    assert result.sink_is_initial == (result.sink == m.initial)
 
 
 @DIFFERENTIAL
