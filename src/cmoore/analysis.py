@@ -444,7 +444,9 @@ def _greedy_merge(automaton):
     image's two lowest states by a shortest word, found by breadth-first
     search over pairs keyed ``p * n + q``, and move the image along it.  None
     when a search exhausts, as that pair never merges.  Work is 1 per state
-    moved and 50 per pair visited, about what a visit costs in time.
+    moved and 50 per letter tried from a visited pair: a try costs about 15
+    moves in time and may keep a dict entry, so the search stops within
+    ``SYNC_WORK_LIMIT / 50`` entries at any alphabet size.
     """
     n = len(automaton.states)
     rows = [[succ[0] for succ in row] for row in automaton._succ]
@@ -469,7 +471,7 @@ def _greedy_merge(automaton):
         merge = None
         while queue and merge is None:
             key = queue.popleft()
-            spend(50)
+            spend(50 * letters)
             p, q = divmod(key, n)
             for a, row in enumerate(rows):
                 x, y = row[p], row[q]

@@ -348,6 +348,30 @@ class TestGreedySynchronization:
             synchronizing_word(m)
         assert time.perf_counter() - started < 10.0
 
+    def test_many_letter_permutations_stop_promptly(self):
+        # Permutation letters never merge a pair, and 64 of them reach all
+        # two million pairs; the work limit must count each letter tried.
+        m = permutation_dfa(2_000, 64, seed=5)
+        started = time.perf_counter()
+        try:
+            assert synchronizing_word(m) is None
+        except BudgetError as exc:
+            assert "work limit" in str(exc)
+        assert time.perf_counter() - started < 10.0
+
+
+def permutation_dfa(n, letters, seed):
+    """A DFA whose letters are random permutations, so it never synchronizes."""
+    rng = Random(seed)
+    names = [f"s{i}" for i in range(n)]
+    inputs = [f"x{j}" for j in range(letters)]
+    edges = []
+    for symbol in inputs:
+        image = list(names)
+        rng.shuffle(image)
+        edges += zip(names, [symbol] * n, image)
+    return Automaton.make(f"perm-{n}", names, inputs, names[0], edges=edges)
+
 
 def kernels_shaped_dfa(n, seed):
     """A synchronizing DFA over a, b, c: a and b form a Cerny automaton on
