@@ -356,6 +356,8 @@ def cmd_parse(args, constraints):
         context: dict[str, list[str]] = {}
         for fact in args.context:
             entity, _, prop = fact.partition("=")
+            if not (entity and prop):
+                raise UsageError(f"--context wants ENTITY=PROPERTY, got {fact!r}")
             context.setdefault(entity, []).append(prop)
         items = [lingua.disambiguate(item, context) for item in items]
     text = "\n".join(item.bracket() for item in items) or "(no islands)"

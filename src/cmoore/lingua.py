@@ -6,8 +6,10 @@ step.  Impulses landing within one step are applied as distinct events
 against a consistent snapshot, so two simultaneous impulses take a resting
 node all the way to transmit.
 
-The parser is agenda-free bottom-up closure: lexical readings seed the
-chart, chain patterns combine adjacent categories, and readings that no
+The parser is bottom-up deductive parsing with an agenda: lexical readings
+seed the chart one word at a time, and each new item is combined once, as
+the last child of every chain pattern that ends in its category.  Unary
+patterns may not form a cycle, so the chart is finite.  Readings that no
 completed pattern ever touches die out.  Ambiguous sense sets ride along on
 items instead of multiplying the forest.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContradictionError, InputDomainError
@@ -245,8 +248,10 @@ class Pattern:
     def __post_init__(self):
         if not 1 <= len(self.sequence) <= 3:
             raise ValueError("pattern chains consume one to three signals")
-        if self.head is not None and not 0 <= self.head < len(self.sequence):
-            raise ValueError("pattern head out of range")
+        if self.head is not None and not (
+            type(self.head) is int and 0 <= self.head < len(self.sequence)
+        ):
+            raise ValueError(f"pattern head must index the sequence, got {self.head!r}")
 
     @property
     def head_index(self) -> int:
@@ -257,14 +262,20 @@ class Pattern:
 class PatternSet:
     patterns: tuple[Pattern, ...]
 
+    def __post_init__(self):
+        # longer patterns widen the span, so only a unary cycle lets the chart grow forever
+        unary = TopologicalSorter()
+        for pattern in self.patterns:
+            if len(pattern.sequence) == 1:
+                unary.add(pattern.result, pattern.sequence[0])
+        try:
+            unary.prepare()
+        except CycleError as exc:
+            raise ValueError(f"unary patterns form a cycle: {' -> '.join(exc.args[1])}") from None
+
     @classmethod
     def make(cls, specs: Iterable[tuple]) -> "PatternSet":
-        patterns = []
-        for spec in specs:
-            sequence, result = spec[0], spec[1]
-            head = spec[2] if len(spec) > 2 else None
-            patterns.append(Pattern(tuple(sequence), result, head))
-        return cls(tuple(patterns))
+        return cls(tuple(Pattern(tuple(spec[0]), spec[1], *spec[2:3]) for spec in specs))
 
 
 @dataclass(frozen=True)
@@ -362,10 +373,13 @@ def parse(
 ) -> ParseResult:
     """Bottom-up island parse of a sentence.
 
-    Every lexical reading seeds the chart; patterns close it under
-    combination; leaf readings never consumed by a completed pattern, yet
-    covered by some completed constituent, get no reinforcement and die out.
-    The closure is a fixed point, so agenda order cannot matter.
+    Every lexical reading seeds the chart, one end position at a time.  An
+    item entering the chart is combined once, as the last child of each
+    pattern whose last category it carries; its prefixes end where it
+    starts, so they are already complete.  The chart is finite because
+    ``PatternSet`` rejects unary cycles and every longer pattern widens the
+    span.  Leaf readings never consumed by a completed pattern, yet covered
+    by some completed constituent, get no reinforcement and die out.
     """
     lexicon = lexicon or demo_lexicon()
     patterns = patterns or demo_patterns()
@@ -373,87 +387,53 @@ def parse(
     if not words:
         raise InputDomainError("nothing to parse")
     chart: set[ParseItem] = set()
+    by_end: list[list[ParseItem]] = [[]]
     for position, word in enumerate(words):
         lemma, features = lexicon.analyze(word)
-        for entry in lexicon.entries(lemma):
-            chart.add(
-                ParseItem(
-                    position,
-                    position + 1,
-                    entry.category,
-                    entry.senses,
-                    (),
-                    lemma,
-                    features,
-                )
-            )
-    changed = True
-    while changed:
-        changed = False
-        by_start: dict[int, list[ParseItem]] = {}
-        for item in chart:
-            by_start.setdefault(item.start, []).append(item)
-        fresh: list[ParseItem] = []
-        for pattern in patterns.patterns:
-            for children in _tilings(by_start, pattern.sequence, len(words)):
-                head = children[pattern.head_index]
-                candidate = ParseItem(
-                    children[0].start,
-                    children[-1].end,
-                    pattern.result,
-                    head.senses,
-                    children,
-                )
-                if candidate not in chart:
-                    fresh.append(candidate)
-        if fresh:
-            chart.update(fresh)
-            changed = True
-    surviving = _survivors(chart)
+        agenda = [
+            ParseItem(position, position + 1, entry.category, entry.senses, (), lemma, features)
+            for entry in lexicon.entries(lemma)
+        ]
+        by_end.append([])
+        while agenda:
+            item = agenda.pop()
+            if item in chart:
+                continue
+            chart.add(item)
+            by_end[-1].append(item)
+            for pattern in patterns.patterns:
+                if pattern.sequence[-1] != item.category:
+                    continue
+                for prefix in _prefixes(by_end, pattern.sequence[:-1], item.start):
+                    children = prefix + (item,)
+                    senses = children[pattern.head_index].senses
+                    agenda.append(
+                        ParseItem(children[0].start, item.end, pattern.result, senses, children)
+                    )
     ordered_chart = tuple(sorted(chart, key=_sort_key))
-    ordered_items = tuple(sorted(surviving, key=_sort_key))
-    full = tuple(
-        item for item in ordered_items if item.start == 0 and item.end == len(words)
+    phrases = [item for item in ordered_chart if item.children]
+    consumed = {child for phrase in phrases for child in phrase.children if child.is_leaf}
+    # a leaf reading no phrase consumes, inside a built island, dies out
+    ordered_items = tuple(
+        item
+        for item in ordered_chart
+        if item.children
+        or item in consumed
+        or not any(p.start <= item.start and item.end <= p.end for p in phrases)
     )
+    full = tuple(item for item in ordered_items if item.span == (0, len(words)))
     return ParseResult(words, ordered_chart, ordered_items, full)
 
 
-def _tilings(by_start, sequence, limit):
-    """All ways to lay the category sequence over adjacent chart items."""
-
-    def extend(prefix, position, remaining):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for item in by_start.get(position, ()):
-            if item.category == remaining[0] and item.end <= limit:
-                yield from extend(prefix + [item], item.end, remaining[1:])
-
-    for start in by_start:
-        yield from extend([], start, tuple(sequence))
-
-
-def _survivors(chart: set[ParseItem]) -> set[ParseItem]:
-    consumed = {child for item in chart for child in item.children}
-    phrases = [item for item in chart if item.children]
-    tops = []
-    for item in chart:
-        if item in consumed:
-            continue
-        if item.is_leaf and any(
-            phrase.start <= item.start and item.end <= phrase.end for phrase in phrases
-        ):
-            continue  # an unreinforced reading under a built island dies out
-        tops.append(item)
-    surviving: set[ParseItem] = set()
-    stack = list(tops)
-    while stack:
-        item = stack.pop()
-        if item in surviving:
-            continue
-        surviving.add(item)
-        stack.extend(item.children)
-    return surviving
+def _prefixes(by_end, categories, end):
+    """All runs of adjacent chart items carrying ``categories`` that end at ``end``."""
+    if not categories:
+        yield ()
+        return
+    for item in by_end[end]:
+        if item.category == categories[-1]:
+            for prefix in _prefixes(by_end, categories[:-1], item.start):
+                yield prefix + (item,)
 
 
 def disambiguate(
@@ -540,17 +520,34 @@ def load_grammar(doc: Mapping | str) -> tuple[Lexicon, PatternSet]:
     try:
         lexicon = Lexicon.make(
             {
-                word: [(cat, tuple(senses)) for cat, senses in entries]
+                word: [
+                    (_text(cat, "a category"), _texts(senses, "senses"))
+                    for cat, senses in entries
+                ]
                 for word, entries in doc["words"].items()
             },
             morphology={
-                form: (lemma, tuple(features))
+                form: (_text(lemma, "a lemma"), _texts(features, "features"))
                 for form, (lemma, features) in doc.get("morphology", {}).items()
             },
         )
         patterns = PatternSet.make(
-            [tuple(spec) for spec in doc.get("patterns", [])]
+            (_texts(sequence, "a pattern sequence"), _text(result, "a pattern result"), *head)
+            for sequence, result, *head in doc.get("patterns", [])
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputDomainError(f"malformed grammar document: {exc}") from exc
     return lexicon, patterns
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _texts(value, what: str) -> tuple[str, ...]:
+    # a bare string would otherwise be read as a list of its characters
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)

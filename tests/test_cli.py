@@ -92,6 +92,13 @@ class TestParse:
         assert "record1" not in out
         assert "{" not in out  # a single remaining sense prints without braces
 
+    def test_context_without_equals_is_a_usage_error(self, capsys):
+        code = dispatch(["parse", "--sentence", "Eleanor broke the record", "--context", "Eleanor"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--context wants ENTITY=PROPERTY, got 'Eleanor'" in captured.err
+
     def test_unknown_word_is_a_domain_error(self, capsys):
         code, out = run_cli(capsys, "parse", "--sentence", "Eleanor broke the zeugma")
         assert code == 1
@@ -271,6 +278,17 @@ class TestOtherCommands:
         assert captured.out == ""
 
 
+def test_unary_cycle_grammar_is_one_json_line(capsys, tmp_path):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(json.dumps({
+        "words": THE_DOG,
+        "patterns": [[["N"], "N"], [["Art", "N"], "NP"]],
+    }))
+    code, out = run_cli(capsys, "parse", "--lexicon", str(grammar), "--sentence", "the dog")
+    assert code == 1
+    assert one_json_line(out) == "malformed grammar document: unary patterns form a cycle: N -> N"
+
+
 def test_parse_with_grammar_file(capsys, tmp_path):
     grammar = tmp_path / "grammar.json"
     grammar.write_text(
@@ -384,6 +402,9 @@ def test_wrong_shape_store_is_one_json_line(capsys, tmp_path, doc):
     assert one_json_line(out)
 
 
+THE_DOG = {"the": [["Art", ["the"]]], "dog": [["N", ["dog"]]]}
+
+
 @pytest.mark.parametrize(
     "command,doc",
     [
@@ -397,11 +418,19 @@ def test_wrong_shape_store_is_one_json_line(capsys, tmp_path, doc):
         ("cluster", {"machine": to_doc(wheel(2)),
                      "inner": {"a": {"machine": to_doc(wheel(3)), "scale": "x"}}}),
         ("parse", {"words": []}),
+        # each parses "the dog" at once if strings pass for lists or numbers for strings
+        ("parse", {"words": THE_DOG, "patterns": [["AN", "NP"]]}),
+        ("parse", {"words": {**THE_DOG, "dog": [["N", "dog"]]}}),
+        ("parse", {"words": THE_DOG, "morphology": {"the": ["the", "PL"]}}),
+        ("parse", {"words": {**THE_DOG, "dog": [[1, ["dog"]]]}}),
+        ("parse", {"words": THE_DOG, "patterns": [[["Art", "N"], "NP", True]]}),
     ],
     ids=[
         "net-list", "net-without-nodes", "net-unknown-edge", "net-nodes-string",
         "net-edge-string", "net-link-pair", "cluster-list",
-        "cluster-string-scale", "lexicon-words-list",
+        "cluster-string-scale", "lexicon-words-list", "lexicon-sequence-string",
+        "lexicon-senses-string", "lexicon-features-string", "lexicon-category-number",
+        "lexicon-bool-head",
     ],
 )
 def test_wrong_shape_document_is_one_json_line(capsys, tmp_path, command, doc):

@@ -6,6 +6,7 @@ from cmoore.fluents import TimePoint
 from cmoore.lingua import (
     ActivationNetwork,
     Lexicon,
+    PatternSet,
     Phase,
     TenseMap,
     demo_lexicon,
@@ -212,6 +213,27 @@ class TestParser:
         lex = demo_lexicon()
         reversed_words = Lexicon(tuple(reversed(lex.words)), lex.morphology)
         assert parse(SENTENCE, reversed_words).items == parse(SENTENCE).items
+
+
+class TestPatternSet:
+    def test_unary_self_loop_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unary patterns form a cycle: N -> N"):
+            PatternSet.make([(("N",), "N"), (("Art", "N"), "NP")])
+
+    def test_longer_unary_cycle_is_named(self):
+        with pytest.raises(ValueError, match="unary patterns form a cycle: M -> N -> M"):
+            PatternSet.make([(("N",), "M"), (("M",), "N")])
+
+    def test_acyclic_unary_patterns_parse(self):
+        patterns = PatternSet.make([(("N",), "M"), (("M",), "K"), (("Art", "K"), "NP")])
+        result = parse("the record", demo_lexicon(), patterns)
+        assert [item.bracket() for item in result.full] == [
+            "(NP (Art the) (K (M (N record{record1|record2|record3}))))"
+        ]
+
+    def test_bool_head_is_rejected(self):
+        with pytest.raises(ValueError, match="pattern head must index the sequence"):
+            PatternSet.make([(("Art", "N"), "NP", True)])
 
 
 class TestDisambiguate:
