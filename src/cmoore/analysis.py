@@ -11,6 +11,12 @@ Two distinct occupancy notions live here and are deliberately kept apart:
 
 For the looped 2-wheel the two disagree (golden-ratio 0.618... versus 2/3),
 and that contrast is part of the contract.
+
+Both share one work limit, ``OCCUPANCY_WORK_LIMIT``, counted in state and
+edge visits: path counting visits every state and edge once per step, and a
+Gauss-Seidel sweep of the stationary solver counts six visits per state and
+edge of the closed class, as it costs about six times more.  Past the limit
+they raise ``BudgetError``, within a few seconds.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from random import Random
 from typing import Sequence
 
@@ -36,7 +43,7 @@ EXACT_PATH_LIMIT = 200
 SUBSET_SEARCH_LIMIT = 20
 SYNC_WORK_LIMIT = 100_000_000
 STATIONARY_RESIDUAL = 1e-12
-STATIONARY_MAX_ROUNDS = 500_000
+OCCUPANCY_WORK_LIMIT = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -87,12 +94,19 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     Counts are exact big integers up to ``EXACT_PATH_LIMIT`` steps, where the
     result is a vector of exact rationals; beyond that the count vector is
     renormalized each step in floating point to dodge overflow of the
-    (typically exponential) path totals.
+    (typically exponential) path totals.  ``(states + edges) * steps`` over
+    ``OCCUPANCY_WORK_LIMIT`` raises ``BudgetError`` before counting starts.
     """
     if steps < 0:
         raise InputDomainError(f"steps must be >= 0, got {steps}")
     succ = _unary_table(automaton)
     n = len(automaton.states)
+    edges = sum(map(len, succ))
+    if (n + edges) * steps > OCCUPANCY_WORK_LIMIT:
+        raise BudgetError(
+            f"{automaton.name}: {steps} steps over {n} states and {edges} edges"
+            f" would exceed the work limit {OCCUPANCY_WORK_LIMIT}"
+        )
     start = automaton._state_index[automaton.initial]
     exact = steps <= EXACT_PATH_LIMIT
     counts: list = [0] * n
@@ -123,14 +137,15 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     return OccupancyVector(entries, horizon=steps, exact=exact)
 
 
-def _reachable(succ: Sequence[Sequence[int]], start: int) -> set[int]:
-    seen = {start}
+def _reachable(succ: Sequence[Sequence[int]], start: int) -> dict[int, None]:
+    """The states reachable from ``start``, in breadth-first order."""
+    seen = {start: None}
     queue = deque([start])
     while queue:
         p = queue.popleft()
         for q in succ[p]:
             if q not in seen:
-                seen.add(q)
+                seen[q] = None
                 queue.append(q)
     return seen
 
@@ -180,24 +195,6 @@ def _strong_components(nodes: Sequence[int], succ: Sequence[Sequence[int]]) -> l
     return components
 
 
-def _period(nodes: set[int], succ: list[list[int]]) -> int:
-    start = min(nodes)
-    level = {start: 0}
-    queue = deque([start])
-    period = 0
-    while queue:
-        p = queue.popleft()
-        for q in succ[p]:
-            if q not in nodes:
-                continue
-            if q not in level:
-                level[q] = level[p] + 1
-                queue.append(q)
-            else:
-                period = math.gcd(period, level[p] + 1 - level[q])
-    return abs(period) or 1
-
-
 def stationary_distribution(automaton: Automaton) -> OccupancyVector:
     """Long-run occupancy under uniform choice among successors.
 
@@ -205,8 +202,11 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
     a unique closed class must exist there, otherwise the stationary vector
     is ambiguous and the closed classes are reported.  Deterministic cycles
     get an exact uniform answer (the running-average limit); everything else
-    is solved by power iteration, averaging over the chain's period so
-    periodic classes still converge below ``STATIONARY_RESIDUAL``.
+    is solved by Gauss-Seidel sweeps over the class in breadth-first order
+    (Stewart, Introduction to the Numerical Solution of Markov Chains, 1994,
+    ch. 3), periodic classes included, until ``||vP - v||_1`` is below
+    ``STATIONARY_RESIDUAL``, or ``BudgetError`` once the sweeps pass
+    ``OCCUPANCY_WORK_LIMIT``.
     """
     succ = _unary_table(automaton)
     start = automaton._state_index[automaton.initial]
@@ -235,40 +235,39 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
             for i, q in enumerate(automaton.states)
         )
         return OccupancyVector(entries, horizon=None, exact=True)
-    members = sorted(closed_set)
+    # Gauss-Seidel on x[p] = v[p] / outdeg(p), the mass p sends along each
+    # edge.  Balance at p, its self-loop aside: x[p] * moves[p] is the sum
+    # of x over p's other predecessors.
+    members = list(_reachable(succ, min(closed_set)))
     position = {p: k for k, p in enumerate(members)}
-    local_succ = [[position[q] for q in succ[p]] for p in members]
-    size = len(members)
-    period = _period(set(range(size)), local_succ)
-
-    def push(vec: list[float]) -> list[float]:
-        out = [0.0] * size
-        for p, mass in enumerate(vec):
-            if mass:
-                share = mass / len(local_succ[p])
-                for q in local_succ[p]:
-                    out[q] += share
-        return out
-
-    v = [1.0 / size] * size
-    for _ in range(STATIONARY_MAX_ROUNDS):
-        window = [v]
-        for _ in range(period):
-            window.append(push(window[-1]))
-        averaged = [math.fsum(col) / period for col in zip(*window[:period])]
-        drift = push(averaged)
-        if math.fsum(abs(a - b) for a, b in zip(drift, averaged)) < STATIONARY_RESIDUAL:
-            total = math.fsum(averaged)
-            entries = tuple(
-                (q, averaged[position[i]] / total if i in closed_set else 0.0)
-                for i, q in enumerate(automaton.states)
+    inflow: list[list[int]] = [[] for _ in members]
+    for k, p in enumerate(members):
+        for q in succ[p]:
+            if q != p:
+                inflow[position[q]].append(k)
+    degree = [len(succ[p]) for p in members]
+    # >= 1: the class is strongly connected, and {p} with p -> p alone was answered above
+    moves = [len(succ[p]) - (p in succ[p]) for p in members]
+    # a sweep and its residual pass cost about six path-count steps per state and edge
+    sweep = 6 * (len(members) + sum(degree))
+    x = [1.0 / len(members)] * len(members)
+    work = 0
+    while True:
+        work += sweep
+        if work > OCCUPANCY_WORK_LIMIT:
+            raise BudgetError(
+                f"{automaton.name}: Gauss-Seidel sweeps did not reach residual"
+                f" {STATIONARY_RESIDUAL} within the work limit {OCCUPANCY_WORK_LIMIT}"
             )
+        for j, preds in enumerate(inflow):
+            x[j] = sum(map(x.__getitem__, preds)) / moves[j]
+        total = math.fsum(map(mul, x, degree))
+        x = [value / total for value in x]
+        flows = [sum(map(x.__getitem__, preds)) for preds in inflow]
+        if math.fsum(map(abs, map(sub, flows, map(mul, moves, x)))) < STATIONARY_RESIDUAL:
+            v = dict(zip(members, map(mul, x, degree)))
+            entries = tuple((q, v.get(i, 0.0)) for i, q in enumerate(automaton.states))
             return OccupancyVector(entries, horizon=None, exact=False)
-        v = window[-1]
-    raise BudgetError(
-        f"{automaton.name}: power iteration did not reach residual {STATIONARY_RESIDUAL}"
-        f" in {STATIONARY_MAX_ROUNDS} rounds"
-    )
 
 
 def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> OccupancyVector:

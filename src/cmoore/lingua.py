@@ -212,11 +212,11 @@ class Lexicon:
         morphology: Mapping[str, tuple[str, Sequence[str]]] | None = None,
     ) -> "Lexicon":
         packed = tuple(
-            (word, tuple(LexEntry(cat, tuple(senses)) for cat, senses in entries))
+            (word, tuple(LexEntry(cat, _texts(senses, "senses")) for cat, senses in entries))
             for word, entries in words.items()
         )
         morph = tuple(
-            (form, (lemma, tuple(features)))
+            (form, (lemma, _texts(features, "features")))
             for form, (lemma, features) in (morphology or {}).items()
         )
         return cls(packed, morph)
@@ -275,7 +275,9 @@ class PatternSet:
 
     @classmethod
     def make(cls, specs: Iterable[tuple]) -> "PatternSet":
-        return cls(tuple(Pattern(tuple(spec[0]), spec[1], *spec[2:3]) for spec in specs))
+        return cls(tuple(
+            Pattern(_texts(spec[0], "a pattern sequence"), spec[1], *spec[2:3]) for spec in specs
+        ))
 
 
 @dataclass(frozen=True)
@@ -515,24 +517,21 @@ def load_grammar(doc: Mapping | str) -> tuple[Lexicon, PatternSet]:
          "morphology": {"broke": ["break", ["PAST"]]},
          "patterns": [[["Art", "N"], "NP"], [["Vt", "NP"], "VP", 0]]}
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     try:
+        if isinstance(doc, str):
+            doc = json.loads(doc)
         lexicon = Lexicon.make(
             {
-                word: [
-                    (_text(cat, "a category"), _texts(senses, "senses"))
-                    for cat, senses in entries
-                ]
+                word: [(_text(cat, "a category"), senses) for cat, senses in entries]
                 for word, entries in doc["words"].items()
             },
             morphology={
-                form: (_text(lemma, "a lemma"), _texts(features, "features"))
+                form: (_text(lemma, "a lemma"), features)
                 for form, (lemma, features) in doc.get("morphology", {}).items()
             },
         )
         patterns = PatternSet.make(
-            (_texts(sequence, "a pattern sequence"), _text(result, "a pattern result"), *head)
+            (sequence, _text(result, "a pattern result"), *head)
             for sequence, result, *head in doc.get("patterns", [])
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -548,6 +547,6 @@ def _text(value, what: str) -> str:
 
 def _texts(value, what: str) -> tuple[str, ...]:
     # a bare string would otherwise be read as a list of its characters
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"{what} must be a list of strings, got {value!r}")
     return tuple(value)

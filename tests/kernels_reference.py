@@ -3,7 +3,9 @@
 These are the string-walking versions the kernels had before every kernel
 read the automaton's cached integer successor table: a transition dict
 keyed by ``(state, symbol)`` with validated ``successors`` lookups on top,
-per-call successor index lists for the occupancy kernels, a ``move`` dict
+per-call successor index lists for the occupancy kernels (with the
+period-averaged power iteration for stationary vectors, and its own copies
+of the reachability, strong-component and period helpers), a ``move`` dict
 and an all-pairs merge table over name-keyed pairs (with its 500-state
 cap) for the synchronizing-word search, per-machine walks for wheel sizes
 and classification, and bisimulation over ``(side, state)`` tuples.  None
@@ -16,15 +18,13 @@ import math
 from collections import deque
 from fractions import Fraction
 from random import Random
+from typing import Sequence
 
 from cmoore.analysis import (
     EXACT_PATH_LIMIT,
     SUBSET_SEARCH_LIMIT,
     OccupancyVector,
     SyncResult,
-    _period,
-    _reachable,
-    _strong_components,
 )
 from cmoore.cluster import (
     DEFAULT_HORIZON,
@@ -147,6 +147,81 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     total = sum(counts)
     entries = tuple((q, Fraction(counts[i], total)) for i, q in enumerate(automaton.states))
     return OccupancyVector(entries, horizon=steps, exact=True)
+
+
+def _reachable(succ: Sequence[Sequence[int]], start: int) -> set[int]:
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        p = queue.popleft()
+        for q in succ[p]:
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
+def _strong_components(nodes: Sequence[int], succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Kosaraju's algorithm, iterative so myriad-state cycles don't blow the
+    recursion limit."""
+    node_set = set(nodes)
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in nodes:
+        if root in seen:
+            continue
+        stack: list[tuple[int, int]] = [(root, 0)]
+        seen.add(root)
+        while stack:
+            node, i = stack.pop()
+            if i < len(succ[node]):
+                stack.append((node, i + 1))
+                nxt = succ[node][i]
+                if nxt in node_set and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, 0))
+            else:
+                order.append(node)
+    reverse: dict[int, list[int]] = {n: [] for n in nodes}
+    for p in nodes:
+        for q in succ[p]:
+            if q in node_set:
+                reverse[q].append(p)
+    assigned: set[int] = set()
+    components: list[list[int]] = []
+    for root in reversed(order):
+        if root in assigned:
+            continue
+        component = [root]
+        assigned.add(root)
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            for prev in reverse[node]:
+                if prev not in assigned:
+                    assigned.add(prev)
+                    component.append(prev)
+                    queue.append(prev)
+        components.append(component)
+    return components
+
+
+def _period(nodes: set[int], succ: list[list[int]]) -> int:
+    start = min(nodes)
+    level = {start: 0}
+    queue = deque([start])
+    period = 0
+    while queue:
+        p = queue.popleft()
+        for q in succ[p]:
+            if q not in nodes:
+                continue
+            if q not in level:
+                level[q] = level[p] + 1
+                queue.append(q)
+            else:
+                period = math.gcd(period, level[p] + 1 - level[q])
+    return abs(period) or 1
 
 
 def stationary_distribution(

@@ -60,6 +60,29 @@ def fibonacci(n):
     return a
 
 
+def exact_stationary(machine):
+    """Oracle: solve vP = v with sum(v) = 1 in rationals by Gauss-Jordan
+    elimination, for a unary machine that is one closed class."""
+    states = machine.states
+    n = len(states)
+    index = {q: i for i, q in enumerate(states)}
+    # row j: sum_i v_i P_ij - v_j = 0; the last row is replaced by sum(v) = 1
+    rows = [[Fraction(-(i == j)) for i in range(n)] + [Fraction(0)] for j in range(n)]
+    for p in states:
+        targets = machine.successors(p, machine.inputs[0])
+        for q in targets:
+            rows[index[q]][index[p]] += Fraction(1, len(targets))
+    rows[-1] = [Fraction(1)] * (n + 1)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                factor = rows[r][c] / rows[c][c]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return {q: rows[i][n] / rows[i][i] for q, i in index.items()}
+
+
 def prop3_wheel():
     m = wheel(10)
     labels = {q: "1" if i < 5 else "2" if i < 8 else "3" for i, q in enumerate(m.states)}
@@ -122,6 +145,17 @@ class TestPathCountOccupancy:
         with pytest.raises(InputDomainError):
             path_count_occupancy(wheel(2), -1)
 
+    def test_myriad_wheel_counts_a_thousand_steps(self):
+        m = wheel(10_000)
+        vector = path_count_occupancy(m, 1000)
+        assert vector[m.states[1000]] == 1.0
+
+    def test_over_the_work_limit_raises_before_counting(self):
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="work limit"):
+            path_count_occupancy(wheel(10_000), 100_000)
+        assert time.perf_counter() - started < 1.0
+
 
 class TestStationaryDistribution:
     def test_looped_two_wheel(self):
@@ -175,6 +209,49 @@ class TestStationaryDistribution:
         vector = stationary_distribution(m)
         assert vector["s"] == 0
         assert vector["a"] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("n", (100, 10_000))
+    def test_lazy_wheels_answer_promptly(self, n):
+        m = wheel(n, loops=("a",))
+        started = time.perf_counter()
+        vector = stationary_distribution(m)
+        assert time.perf_counter() - started < 1.0
+        assert abs(vector["a"] - 2 / (n + 1)) < 1e-9
+        assert all(abs(value - 1 / (n + 1)) < 1e-9 for q, value in vector.entries if q != "a")
+
+    @pytest.mark.parametrize(
+        "edges",
+        (
+            # period 2: every cycle alternates between {a, d} and {b, c}
+            "a>b a>c b>a b>d c>a d>b",
+            # period 3: layers {a}, {b, c}, {d, e}
+            "a>b a>c b>d c>d c>e d>a e>a",
+        ),
+    )
+    def test_periodic_classes_match_an_exact_solve(self, edges):
+        pairs = [tuple(edge.split(">")) for edge in edges.split()]
+        states = sorted({q for pair in pairs for q in pair})
+        m = Automaton.make("periodic", states, ["e"], "a", edges=[(p, "e", q) for p, q in pairs])
+        vector = stationary_distribution(m)
+        assert not vector.exact
+        expected = exact_stationary(m)
+        assert all(abs(vector[q] - expected[q]) < 1e-9 for q in states)
+
+    def test_slow_mixing_class_exceeds_the_work_limit_promptly(self):
+        # i -> i+1 plus random steps back and forth: Gauss-Seidel mixes too
+        # slowly here to reach the residual within the work limit
+        rng = Random(7)
+        n = 1000
+        names = [f"s{i}" for i in range(n)]
+        edges = []
+        for i in range(n):
+            targets = {(i + 1) % n} | {(i + d) % n for d in (-1, -2, 2) if rng.random() < 0.5}
+            edges += [(names[i], "e", names[j]) for j in sorted(targets)]
+        m = Automaton.make("diffusive", names, ["e"], names[0], edges=edges)
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="work limit"):
+            stationary_distribution(m)
+        assert time.perf_counter() - started < 10.0
 
 
 class TestMonteCarlo:

@@ -27,6 +27,17 @@ class TestOccupancy:
         code, _ = run_cli(capsys, "occupancy", "--machine", "wheel:2,loops=a", "--mode", "path-count")
         assert code == 2
 
+    def test_path_count_over_the_work_limit_is_one_json_line(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "occupancy", "--machine", "wheel:10000", "--mode", "path-count", "--steps", "100000",
+        )
+        assert code == 1
+        (line,) = out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "budget"
+        assert "work limit" in payload["message"]
+
     def test_mc_json_requires_seed(self, capsys):
         code, _ = run_cli(
             capsys,

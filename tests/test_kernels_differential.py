@@ -4,9 +4,12 @@ Random small machines (unary and multi-symbol, partial, nondeterministic,
 with outputs, with state names whose order differs from their index order
 and edges listed in random order) go through the machine queries and every
 kernel, in ``cmoore`` and in ``kernels_reference``.  Each call must return
-the same value, or raise the same error type with the same message.  The
-one exception is a greedy synchronizing word (past ``subset_limit``): it
-must exist exactly when the reference's does and replay to its sink.
+the same value, or raise the same error type with the same message.  Two
+answers may differ in rounding or tie-breaking instead: a floating-point
+stationary vector (Gauss-Seidel sweeps against the reference's
+period-averaged power iteration) must agree within 1e-9 and be stationary
+on its own, and a greedy synchronizing word (past ``subset_limit``) must
+exist exactly when the reference's does and replay to its sink.
 """
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -116,10 +119,32 @@ FORK = Automaton.make(
 )
 def test_occupancy_kernels_match_reference(m, steps, seed):
     assert outcome(path_count_occupancy, m, steps) == outcome(ref.path_count_occupancy, m, steps)
-    assert outcome(stationary_distribution, m) == outcome(ref.stationary_distribution, m)
+    check_stationary(m)
     assert outcome(monte_carlo_occupancy, m, steps, seed) == outcome(
         ref.monte_carlo_occupancy, m, steps, seed
     )
+
+
+def check_stationary(m):
+    """Errors and exact vectors match the reference exactly; a float vector
+    has the same states, is within 1e-9 of the reference's entry by entry,
+    and its own residual ||vP - v||_1 is below 1e-10."""
+    got = outcome(stationary_distribution, m)
+    want = outcome(ref.stationary_distribution, m)
+    if got[0] != "ok" or want[0] != "ok" or want[1].exact:
+        assert got == want
+        return
+    vector, expected = got[1], want[1]
+    assert not vector.exact
+    assert [q for q, _ in vector.entries] == [q for q, _ in expected.entries]
+    assert all(abs(a - b) <= 1e-9 for (_, a), (_, b) in zip(vector.entries, expected.entries))
+    v = vector.as_dict()
+    pushed = dict.fromkeys(v, 0.0)
+    for p, mass in v.items():
+        targets = ref.successors(m, p, m.inputs[0])
+        for q in targets:
+            pushed[q] += mass / len(targets)
+    assert sum(abs(pushed[q] - v[q]) for q in v) < 1e-10
 
 
 BUDGETS = st.sampled_from((1, 3, 10, 1_000_000))

@@ -235,6 +235,22 @@ class TestPatternSet:
         with pytest.raises(ValueError, match="pattern head must index the sequence"):
             PatternSet.make([(("Art", "N"), "NP", True)])
 
+    def test_bare_string_sequence_is_rejected(self):
+        # "AN" would otherwise read as the chain A N
+        with pytest.raises(TypeError, match="a pattern sequence must be a list of strings, got 'AN'"):
+            PatternSet.make([("AN", "NP")])
+
+
+class TestLexicon:
+    def test_bare_string_senses_are_rejected(self):
+        # "tea" would otherwise read as the senses t, e, a
+        with pytest.raises(TypeError, match="senses must be a list of strings, got 'tea'"):
+            Lexicon.make({"t": [("A", "tea")]})
+
+    def test_bare_string_features_are_rejected(self):
+        with pytest.raises(TypeError, match="features must be a list of strings, got 'PL'"):
+            Lexicon.make({"dog": [("N", ("dog",))]}, morphology={"dogs": ("dog", "PL")})
+
 
 class TestDisambiguate:
     def test_athlete_context(self):
@@ -296,3 +312,9 @@ class TestGrammarFiles:
 
         with pytest.raises(InputDomainError):
             load_grammar('{"patterns": []}')
+
+    def test_text_that_is_not_json_is_a_malformed_grammar(self):
+        from cmoore.lingua import load_grammar
+
+        with pytest.raises(InputDomainError, match="^malformed grammar document: Expecting"):
+            load_grammar("{not json")
