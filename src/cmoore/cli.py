@@ -468,7 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--open-end", action="store_true")
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("cycle-length", help="first return time of an all-wheel cluster")
+    p = sub.add_parser(
+        "cycle-length",
+        help="first return time of an all-wheel union cluster of any depth: closed form for "
+        "two-level menagerie wheels, else jumping from emission to emission, "
+        f"up to {cluster.CYCLE_VERIFY_BUDGET} ticks",
+    )
     common(p)
     p.add_argument("--cluster")
     p.add_argument("--inner", action="append")

@@ -6,12 +6,15 @@ the leaves, and a node consumes a tick of its own whenever its driving inner
 machinery emits a non-silent output (several simultaneous emissions coalesce
 into one tick).  Inner machines never reset when the outer machine moves.
 
-The module also houses composite cycle lengths (the lcm-based analysis with
-a brute-force cross-check), the temporal-structure classifier, and output
-bisimulation via partition refinement.
+The module also houses composite cycle lengths (the lcm-based closed form
+for two-level wheel clusters, and an event-driven first return that jumps
+from emission to emission for union wheel trees of any depth and checks the
+closed form), the temporal-structure classifier, and output bisimulation via
+partition refinement.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -27,6 +30,7 @@ TICK_POLICIES = ("external", "union", "current-state")
 DEFAULT_HORIZON = 2**64
 UNFOLD_BUDGET = 100_000
 CYCLE_VERIFY_BUDGET = 1_000_000
+SIMULATE_WORK_LIMIT = 20_000_000
 TEMPORAL_FAMILIES = ("Z", "N", "P", "L", "C")
 
 
@@ -387,6 +391,74 @@ class _CompiledCluster:
             if len(seen) > budget:
                 raise BudgetError(f"unfolding exceeded {budget} configurations")
 
+    def first_return(self, budget: int) -> int:
+        """Base ticks until a tree of wheels under the union policy is back
+        in its start configuration, by next-event time advance.
+
+        The caller checks the shape.  A tick of such a tree is a bijection on
+        configurations, so the start lies on a cycle, and every configuration
+        on it first recurs after the same number of ticks.  The clock jumps
+        from one leaf emission to the next.  At each such instant the parents
+        of the emitting leaves advance, then their parents if they emitted in
+        turn, each node at most once (the coalescing of ``step``).  The
+        answer is the gap until the configuration after the first instant
+        recurs, made a multiple of the size of every leaf that never emits.
+        Past ``budget`` ticks of that gap it raises ``BudgetError``.
+        """
+        parent = [-1] * len(self.succ)
+        for i, children in enumerate(self.driven):
+            for child in children:
+                parent[child] = i
+        clock = []  # (next emission, leaf, index into the leaf's gaps)
+        gaps = {}  # per leaf, the ticks between its emissions over one turn
+        window = silent = 1
+        for leaf, succ in enumerate(self.succ):
+            if self.driven[leaf]:
+                continue
+            emits, q = self.emits[leaf], self.start[leaf]
+            times = []
+            for t in range(1, len(succ) + 1):
+                q = succ[q]
+                if emits[q]:
+                    times.append(t)
+            if not times:
+                silent = math.lcm(silent, len(succ))
+                continue
+            # the leaf configurations recur only when every leaf is back
+            window = math.lcm(window, len(succ))
+            gaps[leaf] = [b - a for a, b in zip(times, times[1:])]
+            gaps[leaf].append(times[0] + len(succ) - times[-1])
+            clock.append((times[0], leaf, 0))
+        if not clock:
+            return silent
+        if window > budget:
+            raise BudgetError(f"first return exceeds {budget} ticks (leaves recur every {window})")
+        heapq.heapify(clock)
+        first = clock[0][0]
+        state = list(self.start)
+        start = None
+        while True:
+            now = clock[0][0]
+            if now - first > budget:
+                raise BudgetError(f"first return exceeds {budget} ticks")
+            due = set()
+            while clock[0][0] == now:
+                _, leaf, k = clock[0]
+                turn = gaps[leaf]
+                heapq.heapreplace(clock, (now + turn[k], leaf, (k + 1) % len(turn)))
+                due.add(parent[leaf])
+            due.discard(-1)
+            while due:
+                i = max(due)
+                due.remove(i)
+                q = state[i] = self.succ[i][state[i]]
+                if self.emits[i][q] and parent[i] >= 0:
+                    due.add(parent[i])
+            if start is None:
+                start = list(state)
+            elif (now - first) % window == 0 and state == start:
+                return math.lcm(now - first, silent)
+
 
 def tick(state: ClusterState, node: ClusterNode) -> tuple[ClusterState, TickResult]:
     """One elementary tick at the fastest driven scale, propagated upward.
@@ -423,10 +495,21 @@ class SimulationReport:
 
 def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     """Drive a cluster for ``ticks`` base ticks, tallying where the outermost
-    machine spends them."""
+    machine spends them.
+
+    Every tick may step every node, so ``ticks * nodes`` over
+    ``SIMULATE_WORK_LIMIT`` (a few seconds of stepping) raises
+    ``BudgetError`` before the first tick.
+    """
     if ticks < 0:
         raise InputDomainError(f"ticks must be >= 0, got {ticks}")
     compiled = node._compiled
+    nodes = len(compiled.succ)
+    if ticks * nodes > SIMULATE_WORK_LIMIT:
+        raise BudgetError(
+            f"{node.machine.name}: {ticks} ticks over {nodes} nodes"
+            f" would exceed the work limit {SIMULATE_WORK_LIMIT}"
+        )
     step = compiled.step
     vec = list(compiled.start)
     advances = [0] * len(vec)
@@ -485,8 +568,10 @@ class CycleLength:
     """Exact first-return time of an all-wheel cluster, in base ticks.
 
     ``digit_count`` carries the magnitude even when the value itself is far
-    past anything simulatable; ``verified`` marks values small enough to have
-    been cross-checked by direct unfolding.
+    past anything simulatable; ``verified`` marks values found or
+    cross-checked by the event-driven first return, which runs up to
+    ``CYCLE_VERIFY_BUDGET`` ticks.  Only a closed form past that budget is
+    unverified.
     """
 
     base_ticks: int
@@ -540,33 +625,17 @@ def wheel_cluster_cycle(
     return window * (outer_size // math.gcd(advances, outer_size))
 
 
-def _first_return_by_unfolding(outer_size: int, inner_sizes: Sequence[int]) -> int:
-    positions = [0] * len(inner_sizes)
-    outer = 0
-    t = 0
-    while True:
-        t += 1
-        fired = False
-        for i, size in enumerate(inner_sizes):
-            p = positions[i] + 1
-            if p == size:
-                p = 0
-            positions[i] = p
-            if p == size - 1:
-                fired = True
-        if fired:
-            outer = (outer + 1) % outer_size
-        if outer == 0 and not any(positions):
-            return t
-
-
 def cycle_length(node: ClusterNode) -> CycleLength:
-    """Exact return time of an all-wheel cluster (analytic, cross-checked).
+    """Exact return time of an all-wheel cluster, in base ticks.
 
-    Supported shapes: a single wheel, or one outer wheel whose states hold
-    leaf wheels under the union policy.  Deeper nesting has no closed-form
-    emission pattern here and is rejected.  Up to ``CYCLE_VERIFY_BUDGET``
-    ticks, the return time is cross-checked by stepping the cluster.
+    Supported shapes: a single wheel, or a tree of wheels of any depth whose
+    nodes with inner wheels tick under the union policy.  A two-level tree
+    whose inner wheels each emit only on the state before their initial one
+    (the menagerie wheel) gets the closed form of ``wheel_cluster_cycle``;
+    up to ``CYCLE_VERIFY_BUDGET`` ticks it is cross-checked by the
+    event-driven first return, which jumps from emission to emission.  Every
+    other tree gets the event-driven first return itself, verified, or
+    ``BudgetError`` when it exceeds ``CYCLE_VERIFY_BUDGET`` ticks.
     """
     outer_size = _wheel_size(node.machine)
     if outer_size is None:
@@ -575,30 +644,43 @@ def cycle_length(node: ClusterNode) -> CycleLength:
         )
     if not node.inner:
         return CycleLength(outer_size, digit_count(outer_size), True)
-    if node.tick_policy != "union":
-        raise UnsupportedStructureError("cycle length assumes the union tick policy")
-    inner_sizes = []
-    for state, child in node.inner:
-        if child.inner:
-            raise UnsupportedStructureError(
-                "cycle length supports two-level clusters (outer wheel over leaf wheels)"
-            )
-        size = _wheel_size(child.machine)
-        if size is None:
-            raise UnsupportedStructureError(
-                f"{child.machine.name} (inside {state!r}) is not a pure wheel"
-            )
-        inner_sizes.append(size)
-    value = wheel_cluster_cycle(outer_size, inner_sizes)
+    _check_wheel_tree(node)
+    compiled = node._compiled
+    inner = compiled.driven[0]
+    closed_form = all(not compiled.driven[c] and _signals_once_per_turn(compiled, c) for c in inner)
+    if not closed_form:
+        value = compiled.first_return(CYCLE_VERIFY_BUDGET)
+        return CycleLength(value, digit_count(value), True)
+    value = wheel_cluster_cycle(outer_size, [len(compiled.succ[c]) for c in inner])
     verified = False
     if value <= CYCLE_VERIFY_BUDGET:
-        simulated = _first_return_by_unfolding(outer_size, inner_sizes)
+        simulated = compiled.first_return(CYCLE_VERIFY_BUDGET)
         if simulated != value:
             raise AssertionError(
                 f"analytic cycle {value} disagrees with simulation {simulated}"
             )
         verified = True
     return CycleLength(value, digit_count(value), verified)
+
+
+def _check_wheel_tree(node: ClusterNode) -> None:
+    """Refuse a cluster unless its nodes with inner nodes tick under the
+    union policy and every inner machine is a wheel."""
+    if node.tick_policy != "union":
+        raise UnsupportedStructureError("cycle length assumes the union tick policy")
+    for state, child in node.inner:
+        if _wheel_size(child.machine) is None:
+            raise UnsupportedStructureError(
+                f"{child.machine.name} (inside {state!r}) is not a pure wheel"
+            )
+        if child.inner:
+            _check_wheel_tree(child)
+
+
+def _signals_once_per_turn(compiled: _CompiledCluster, i: int) -> bool:
+    """Whether wheel ``i`` emits exactly on the state before its initial one."""
+    start = compiled.start[i]
+    return all(e == (nxt == start) for e, nxt in zip(compiled.emits[i], compiled.succ[i]))
 
 
 def max_prime_power_sizes(limit: int = 10_000) -> list[int]:

@@ -21,8 +21,10 @@ from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContradictionError, InputDomainError
+from .errors import BudgetError, ContradictionError, InputDomainError
 from .fluents import TimePoint
+
+PARSE_ITEM_LIMIT = 300_000
 
 
 @dataclass(frozen=True)
@@ -381,7 +383,10 @@ def parse(
     starts, so they are already complete.  The chart is finite because
     ``PatternSet`` rejects unary cycles and every longer pattern widens the
     span.  Leaf readings never consumed by a completed pattern, yet covered
-    by some completed constituent, get no reinforcement and die out.
+    by some completed constituent, get no reinforcement and die out.  A
+    highly ambiguous grammar builds a chart exponential in the sentence
+    length, so more than ``PARSE_ITEM_LIMIT`` items pushed onto the agenda
+    (a few seconds of work) raise ``BudgetError``.
     """
     lexicon = lexicon or demo_lexicon()
     patterns = patterns or demo_patterns()
@@ -390,6 +395,7 @@ def parse(
         raise InputDomainError("nothing to parse")
     chart: set[ParseItem] = set()
     by_end: list[list[ParseItem]] = [[]]
+    pushed = 0
     for position, word in enumerate(words):
         lemma, features = lexicon.analyze(word)
         agenda = [
@@ -397,6 +403,7 @@ def parse(
             for entry in lexicon.entries(lemma)
         ]
         by_end.append([])
+        pushed += len(agenda)
         while agenda:
             item = agenda.pop()
             if item in chart:
@@ -412,6 +419,12 @@ def parse(
                     agenda.append(
                         ParseItem(children[0].start, item.end, pattern.result, senses, children)
                     )
+                    pushed += 1
+                    if pushed > PARSE_ITEM_LIMIT:
+                        raise BudgetError(
+                            f"parsing {len(words)} words pushed more than"
+                            f" {PARSE_ITEM_LIMIT} items onto the agenda"
+                        )
     ordered_chart = tuple(sorted(chart, key=_sort_key))
     phrases = [item for item in ordered_chart if item.children]
     consumed = {child for phrase in phrases for child in phrase.children if child.is_leaf}

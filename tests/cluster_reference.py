@@ -5,7 +5,8 @@ recurses through the node tree and rebuilds frozen ``ClusterState`` values
 with ``dataclasses.replace``.  It is slow but written straight from the
 tick rules, so the compiled stepper in ``cmoore.cluster`` is checked
 against it, together with ``simulate``, ``unfold`` and ``classify`` built
-on top of it the way they were before compilation.
+on top of it the way they were before compilation, and ``first_return``,
+the oracle for cycle lengths.
 """
 from __future__ import annotations
 
@@ -97,6 +98,19 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
 def shape_key(state: ClusterState):
     """Configuration identity: tick counters excluded."""
     return (state.current, tuple((s, shape_key(c)) for s, c in state.children))
+
+
+def first_return(node: ClusterNode, limit: int = 100_000) -> int:
+    """Ticks until the start configuration first recurs, by stepping."""
+    start = initial_state(node)
+    state = start
+    for ticks in range(1, limit + 1):
+        state, result = tick(state, node)
+        if result.halted:
+            raise UnsupportedStructureError(f"{node.machine.name} halts before it returns")
+        if shape_key(state) == shape_key(start):
+            return ticks
+    raise BudgetError(f"no return within {limit} ticks")
 
 
 def unfold(node: ClusterNode, budget: int = 100_000, name: str | None = None) -> Automaton:

@@ -8,7 +8,9 @@ period-averaged power iteration for stationary vectors, and its own copies
 of the reachability, strong-component and period helpers), a ``move`` dict
 and an all-pairs merge table over name-keyed pairs (with its 500-state
 cap) for the synchronizing-word search, per-machine walks for wheel sizes
-and classification, and bisimulation over ``(side, state)`` tuples.  None
+and classification, the two-level cycle length with its own copy of the
+per-tick first-return check (both assume each inner wheel emits on the state
+before its initial one), and bisimulation over ``(side, state)`` tuples.  None
 of them reads ``Automaton._succ``, so ``test_kernels_differential`` can
 check the shared table against them.
 """
@@ -31,7 +33,6 @@ from cmoore.cluster import (
     BisimulationResult,
     CycleLength,
     TemporalClass,
-    _first_return_by_unfolding,
     digit_count,
     wheel_cluster_cycle,
 )
@@ -454,6 +455,26 @@ def _pure_wheel_size(machine: Automaton) -> int | None:
     if current != machine.initial or len(set(seen)) != len(machine.states):
         return None
     return len(machine.states)
+
+
+def _first_return_by_unfolding(outer_size: int, inner_sizes: Sequence[int]) -> int:
+    positions = [0] * len(inner_sizes)
+    outer = 0
+    t = 0
+    while True:
+        t += 1
+        fired = False
+        for i, size in enumerate(inner_sizes):
+            p = positions[i] + 1
+            if p == size:
+                p = 0
+            positions[i] = p
+            if p == size - 1:
+                fired = True
+        if fired:
+            outer = (outer + 1) % outer_size
+        if outer == 0 and not any(positions):
+            return t
 
 
 def cycle_length(node, verify_budget: int = 1_000_000) -> CycleLength:

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, text output, stable JSON."""
 import json
+import time
 
 import pytest
 
 from cmoore.cli import dispatch
+from cmoore.cluster import SIMULATE_WORK_LIMIT, node_to_json
+from cmoore.lingua import PARSE_ITEM_LIMIT
 from cmoore.machine import from_json, to_doc, to_json
 from cmoore.menagerie import wheel
 from test_analysis import cerny, kernels_shaped_dfa
+from test_cluster import OTHER_EMITTING_SETS
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +167,28 @@ class TestCycleLength:
         assert "base_ticks" not in payload
 
 
+@pytest.mark.parametrize("case", sorted(OTHER_EMITTING_SETS))
+def test_cycle_length_of_other_emitting_sets(capsys, tmp_path, case):
+    node, expected = OTHER_EMITTING_SETS[case]
+    path = tmp_path / "cluster.json"
+    path.write_text(node_to_json(node))
+    code, out = run_cli(capsys, "cycle-length", "--cluster", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"base_ticks": expected, "digits": len(str(expected)), "verified": True}
+    code, out = run_cli(capsys, "classify", "--cluster", str(path))
+    assert out.strip() == f"C({expected})"
+
+
+def test_three_level_cycle_length(capsys, tmp_path):
+    path = tmp_path / "cluster.json"
+    leaf = {"machine": to_doc(wheel(3)), "scale": 0}
+    mid = {"machine": to_doc(wheel(2)), "scale": 1, "inner": {"a": leaf}}
+    path.write_text(json.dumps({"machine": to_doc(wheel(2)), "scale": 2, "inner": {"a": mid}}))
+    code, out = run_cli(capsys, "cycle-length", "--cluster", str(path))
+    assert code == 0
+    assert out.strip() == "12"
+
+
 class TestOtherCommands:
     def test_sync_word(self, capsys):
         code, out = run_cli(capsys, "sync-word", "--machine", "wire:xy")
@@ -204,6 +230,19 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert 0.45 <= payload["occupancy"]["a"] <= 0.55
         assert payload["halted"] is False
+
+    def test_simulate_over_the_work_limit_is_one_json_line(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys,
+            "simulate", "--machine", "wheel:2", "--inner", "a=wheel:3", "--ticks", "1000000000",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        (line,) = out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "budget"
+        assert f"work limit {SIMULATE_WORK_LIMIT}" in payload["message"]
 
     def test_export_dot(self, capsys, tmp_path):
         out_path = tmp_path / "wheel.dot"
@@ -298,6 +337,24 @@ def test_unary_cycle_grammar_is_one_json_line(capsys, tmp_path):
     code, out = run_cli(capsys, "parse", "--lexicon", str(grammar), "--sentence", "the dog")
     assert code == 1
     assert one_json_line(out) == "malformed grammar document: unary patterns form a cycle: N -> N"
+
+
+def test_ambiguous_parse_over_the_item_limit_is_one_json_line(capsys, tmp_path):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(json.dumps({
+        "words": {"x": [["A", ["s0"]], ["A", ["s1"]]]},
+        "patterns": [[["A", "A"], "A"], [["A", "A"], "A", 0], [["A", "A", "A"], "A"]],
+    }))
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "parse", "--lexicon", str(grammar), "--sentence", "x x x x x x x"
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "budget"
+    assert f"more than {PARSE_ITEM_LIMIT} items" in payload["message"]
 
 
 def test_parse_with_grammar_file(capsys, tmp_path):

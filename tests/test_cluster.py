@@ -4,7 +4,9 @@ from random import Random
 
 import pytest
 
+import cluster_reference
 from cmoore.cluster import (
+    SIMULATE_WORK_LIMIT,
     ClusterNode,
     digit_count,
     ScaleSystem,
@@ -54,6 +56,39 @@ def first_return_oracle(outer_size, inner_sizes):
             outer = (outer + 1) % outer_size
         if outer == 0 and not any(positions):
             return t
+
+
+def emitting_wheel(size, emitting):
+    """A wheel that emits on the named states instead of its last one."""
+    base = wheel(size)
+    return Automaton.make(
+        f"wheel-{size}-emits-{''.join(emitting) or 'nothing'}",
+        base.states,
+        base.inputs,
+        base.initial,
+        {q: "1" for q in emitting},
+        base.edges,
+    )
+
+
+def union_over(outer, *leaves):
+    """``outer`` driving one leaf per state, from its first state on."""
+    inner = tuple((q, ClusterNode.leaf(m)) for q, m in zip(outer.states, leaves))
+    return ClusterNode(outer, scale=1, inner=inner, tick_policy="union")
+
+
+# Two-level clusters whose inner wheels do not emit once per turn on the
+# state before their initial one, with their first return by stepping.
+OTHER_EMITTING_SETS = {
+    "silent inner wheel": (union_over(wheel(4), emitting_wheel(4, []), wheel(6)), 24),
+    "emits on its initial state": (union_over(wheel(3), wheel(2), emitting_wheel(4, ["a"])), 4),
+    "emits on two states": (union_over(wheel(2), emitting_wheel(3, ["a", "c"])), 3),
+    "silent size-1 wheel": (union_over(wheel(3), emitting_wheel(1, []), wheel(3)), 9),
+    "no child ever emits": (
+        union_over(wheel(3), emitting_wheel(4, []), emitting_wheel(6, [])),
+        12,
+    ),
+}
 
 
 class TestScaleSystem:
@@ -124,6 +159,12 @@ class TestTick:
         report = simulate(wheels_within_wheels(inner=(4, 6)), 90_000)
         occupancy = report.occupancy()
         assert 0.45 <= occupancy["a"] <= 0.55
+
+    def test_ticks_over_the_work_limit_are_refused_before_stepping(self):
+        node = wheels_within_wheels()  # three nodes
+        simulate(node, SIMULATE_WORK_LIMIT // 3 // 1000)
+        with pytest.raises(BudgetError, match=f"work limit {SIMULATE_WORK_LIMIT}"):
+            simulate(node, SIMULATE_WORK_LIMIT // 3 + 1)
 
     def test_external_policy_just_advances_the_outer_machine(self):
         node = ClusterNode.leaf(wheel(3))
@@ -243,13 +284,45 @@ class TestCycleLength:
         with pytest.raises(UnsupportedStructureError):
             cycle_length(node)
 
-    def test_deeper_nesting_rejected(self):
+    def test_depth_three_matches_stepping(self):
         mid = ClusterNode(
             wheel(2), scale=1, inner=(("a", ClusterNode.leaf(wheel(3))),), tick_policy="union"
         )
         top = ClusterNode(wheel(2), scale=2, inner=(("a", mid),), tick_policy="union")
-        with pytest.raises(UnsupportedStructureError):
-            cycle_length(top)
+        result = cycle_length(top)
+        assert result.base_ticks == cluster_reference.first_return(top) == 12
+        assert result.verified
+
+    def test_three_level_union_of_union_clusters(self):
+        top = ClusterNode(
+            wheel(3),
+            scale=2,
+            inner=(
+                ("a", union_over(wheel(3), wheel(3), wheel(5))),
+                ("c", union_over(wheel(3), wheel(5), wheel(3))),
+            ),
+        )
+        assert cycle_length(top).base_ticks == cluster_reference.first_return(top)
+
+    @pytest.mark.parametrize("case", sorted(OTHER_EMITTING_SETS))
+    def test_other_emitting_sets_match_stepping(self, case):
+        node, expected = OTHER_EMITTING_SETS[case]
+        result = cycle_length(node)
+        assert result.base_ticks == cluster_reference.first_return(node) == expected
+        assert result.verified
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            # the leaves are back together only every 1009 * 1013 ticks
+            union_over(wheel(2), emitting_wheel(1009, ["a"]), emitting_wheel(1013, ["a"])),
+            # the leaf is back every 1000 ticks, the outer wheel every 2 * 10**6
+            union_over(wheel(2000), emitting_wheel(1000, ["a"])),
+        ],
+    )
+    def test_return_past_the_budget_is_refused(self, node):
+        with pytest.raises(BudgetError, match="first return exceeds 1000000 ticks"):
+            cycle_length(node)
 
     def test_prime_power_construction_is_astronomical(self):
         sizes = max_prime_power_sizes(10_000)

@@ -1,9 +1,12 @@
 """Tense mapping, spreading activation, and the island parser."""
+import time
+
 import pytest
 
-from cmoore.errors import ContradictionError, InputDomainError
+from cmoore.errors import BudgetError, ContradictionError, InputDomainError
 from cmoore.fluents import TimePoint
 from cmoore.lingua import (
+    PARSE_ITEM_LIMIT,
     ActivationNetwork,
     Lexicon,
     PatternSet,
@@ -208,6 +211,17 @@ class TestParser:
         base_shapes = {(i.start, i.end, i.category) for i in base.chart}
         extended_shapes = {(i.start, i.end, i.category) for i in extended.chart}
         assert base_shapes <= extended_shapes
+
+    def test_highly_ambiguous_grammar_stops_at_the_item_limit(self):
+        # every split of the sentence is an A, in two sense sets: the chart
+        # grows about tenfold per word
+        lexicon = Lexicon.make({"x": [("A", ("s0",)), ("A", ("s1",))]})
+        patterns = PatternSet.make([(("A", "A"), "A"), (("A", "A"), "A", 0), (("A", "A", "A"), "A")])
+        assert len(parse("x x x x x", lexicon, patterns).chart) == 4822
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"more than {PARSE_ITEM_LIMIT} items"):
+            parse("x x x x x x x", lexicon, patterns)
+        assert time.perf_counter() - start < 5
 
     def test_lexicon_order_does_not_matter(self):
         lex = demo_lexicon()
