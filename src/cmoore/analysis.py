@@ -347,7 +347,9 @@ def approximate_distribution(
 
     Scans wheel sizes upward, apportioning states by largest remainder; if
     no size within the state budget reaches ``epsilon`` the error reports the
-    best achievable value.
+    best achievable value.  Over a common denominator ``D`` each probability
+    is ``w / D`` for an integer weight ``w``, so size ``k`` is scored in
+    integers: a count ``c`` misses by ``|c * D - w * k| / (k * D)``.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -355,12 +357,18 @@ def approximate_distribution(
     c = constraints or Constraints()
     probs = distribution.probabilities
     r = len(probs)
-    best_err: Fraction | None = None
-    best_size = 0
-    for k in range(max(r, 1), c.max_states + 1):
-        counts = _largest_remainder(probs, k)
-        err = max(abs(Fraction(counts[i], k) - probs[i]) for i in range(r))
-        if err <= eps:
+    if c.max_states < r:
+        raise InfeasibleError(
+            f"no wheel of size <= {c.max_states} reaches epsilon {eps}; "
+            f"the scan starts at {r} states, one per outcome"
+        )
+    denominator = math.lcm(*(p.denominator for p in probs))
+    weights = [p.numerator * (denominator // p.denominator) for p in probs]
+    best_miss, best_size = 0, 0
+    for k in range(r, c.max_states + 1):
+        counts = _largest_remainder(weights, denominator, k)
+        miss = max(abs(count * denominator - w * k) for count, w in zip(counts, weights))
+        if miss * eps.denominator <= eps.numerator * k * denominator:
             machine = wheel(k, name=f"dist-wheel-{k}")
             labels = {}
             cursor = 0
@@ -369,8 +377,9 @@ def approximate_distribution(
                     labels[state] = distribution.outcomes[i]
                 cursor += count
             return annotate_outputs(machine, labels)
-        if best_err is None or err < best_err:
-            best_err, best_size = err, k
+        if k == r or miss * best_size < best_miss * k:
+            best_miss, best_size = miss, k
+    best_err = Fraction(best_miss, best_size * denominator)
     raise InfeasibleError(
         f"no wheel of size <= {c.max_states} reaches epsilon {eps}; "
         f"best achievable is {float(best_err):.3e} at size {best_size}",
@@ -379,11 +388,14 @@ def approximate_distribution(
     )
 
 
-def _largest_remainder(probs: tuple[Fraction, ...], k: int) -> list[int]:
-    scaled = [p * k for p in probs]
-    counts = [int(s) for s in scaled]  # floors; probabilities are non-negative
+def _largest_remainder(weights: list[int], denominator: int, k: int) -> list[int]:
+    """Counts summing to ``k`` for shares ``w / denominator``: the floors of
+    ``w * k / denominator``, plus one for the largest remainders (the lower
+    index first among equal ones)."""
+    counts, remainders = zip(*(divmod(w * k, denominator) for w in weights))
+    counts = list(counts)
     leftovers = k - sum(counts)
-    order = sorted(range(len(probs)), key=lambda i: (counts[i] - scaled[i], i))
+    order = sorted(range(len(weights)), key=lambda i: -remainders[i])
     for i in order[:leftovers]:
         counts[i] += 1
     return counts
@@ -406,7 +418,9 @@ def synchronizing_word(
 ) -> SyncResult | None:
     """Find a word driving every state to one common state, or None.
 
-    Greedy pair merging decides whether the machine synchronizes, within
+    A machine of two or more states whose letters are all permutations
+    never synchronizes, and gets None at once.  Otherwise greedy pair
+    merging decides whether the machine synchronizes, within
     ``SYNC_WORK_LIMIT`` (else ``BudgetError``).  Machines up to
     ``subset_limit`` states (20 by default) then get a breadth-first search
     over state subsets and so a shortest word; above that the greedy word is
@@ -420,6 +434,8 @@ def synchronizing_word(
     n = len(automaton.states)
     if n == 1:
         return SyncResult((), automaton.initial, True, True)
+    if all(len(set(row)) == n for row in automaton._succ):
+        return None  # every letter permutes the states, so no image shrinks
     word = _greedy_merge(automaton)
     if word is None:
         return None

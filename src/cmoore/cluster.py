@@ -10,7 +10,7 @@ The module also houses composite cycle lengths (the lcm-based closed form
 for two-level wheel clusters, and an event-driven first return that jumps
 from emission to emission for union wheel trees of any depth and checks the
 closed form), the temporal-structure classifier, and output bisimulation via
-partition refinement.
+worklist partition refinement.
 """
 from __future__ import annotations
 
@@ -497,17 +497,23 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     """Drive a cluster for ``ticks`` base ticks, tallying where the outermost
     machine spends them.
 
-    Every tick may step every node, so ``ticks * nodes`` over
-    ``SIMULATE_WORK_LIMIT`` (a few seconds of stepping) raises
-    ``BudgetError`` before the first tick.
+    A tick steps at most the widest path through the tree: a node costs 1
+    plus the sum of its children's costs under the union policy, or plus
+    the largest one under current-state, where only the occupied child
+    steps.  ``ticks`` times the root's cost over ``SIMULATE_WORK_LIMIT`` (a
+    few seconds of stepping) raises ``BudgetError`` before the first tick.
     """
     if ticks < 0:
         raise InputDomainError(f"ticks must be >= 0, got {ticks}")
     compiled = node._compiled
-    nodes = len(compiled.succ)
-    if ticks * nodes > SIMULATE_WORK_LIMIT:
+    cost = [1] * len(compiled.succ)
+    for i in reversed(range(len(cost))):  # preorder: children come later
+        children = [cost[child] for child in compiled.driven[i] if child >= 0]
+        if children:
+            cost[i] += sum(children) if compiled.policy[i] == _UNION else max(children)
+    if ticks * cost[0] > SIMULATE_WORK_LIMIT:
         raise BudgetError(
-            f"{node.machine.name}: {ticks} ticks over {nodes} nodes"
+            f"{node.machine.name}: {ticks} ticks of {cost[0]} node steps each"
             f" would exceed the work limit {SIMULATE_WORK_LIMIT}"
         )
     step = compiled.step
@@ -816,35 +822,78 @@ class BisimulationResult:
 def bisimilar(left: Automaton, right: Automaton) -> BisimulationResult:
     """Output bisimulation between two unary machines.
 
-    Partition refinement runs on the disjoint union, starting from output
-    equality and splitting by the set of successor blocks until stable; the
-    machines are bisimilar when their initial states share a block.  The
-    returned partition is the coarsest one.
+    Partition refinement on the disjoint union (right-hand states follow the
+    left ones) by a worklist, after Hopcroft and Valmari-Lehtinen.  Blocks
+    start as output classes and every state starts dirty.  Each round splits
+    the dirty states of a block by the set of blocks their successors lie in;
+    the states that are not dirty keep the block's common signature and form
+    one piece.  The largest piece keeps the block id, the others get fresh
+    ids, and the next dirty states are the predecessors of those that moved.
+    A state only moves into a block at most half its old size, so it moves
+    at most log2 n times, and the work is O(m * d * log n) for m edges and
+    largest out-degree d.  The result is the coarsest stable partition; the
+    machines are bisimilar when their initial states share a block.  Blocks
+    are listed in ``str`` order of their keys: the output strings when the
+    output classes are already stable, else each block's rank of first
+    appearance in state order.
     """
     for machine in (left, right):
         if len(machine.inputs) != 1:
             raise UnsupportedStructureError(
                 f"{machine.name}: bisimulation needs unary machines"
             )
-    # Refine over the disjoint union: right-hand states follow the left ones.
     offset = len(left.states)
     succ = left._succ[0] + tuple(tuple(offset + q for q in t) for t in right._succ[0])
-    block: list = [left.output_map[q] for q in left.states]
-    block += [right.output_map[q] for q in right.states]
-    while True:
-        relabel: dict = {}
-        new_block = [
-            relabel.setdefault((block[p], frozenset(block[q] for q in targets)), len(relabel))
-            for p, targets in enumerate(succ)
-        ]
-        if len(relabel) == len(set(block)):
-            break
-        block = new_block
+    outputs = [left.output_map[q] for q in left.states]
+    outputs += [right.output_map[q] for q in right.states]
+    pred: list = [[] for _ in succ]
+    for p, targets in enumerate(succ):
+        for q in targets:
+            pred[q].append(p)
+    ids: dict = {}
+    block = [ids.setdefault(output, len(ids)) for output in outputs]
+    members: list = [set() for _ in ids]
+    for p, b in enumerate(block):
+        members[b].add(p)
+    dirty = range(len(succ))
+    while dirty:
+        by_block: dict = {}
+        for p in dirty:
+            by_block.setdefault(block[p], []).append(p)
+        splits = []  # signatures read the ids from before this round's splits
+        for b, states in by_block.items():
+            pieces: dict = {}
+            for p in states:
+                pieces.setdefault(frozenset([block[q] for q in succ[p]]), []).append(p)
+            rest = len(members[b]) - len(states)
+            if len(pieces) + (rest > 0) > 1:
+                splits.append((b, states, list(pieces.values()), rest))
+        moved: list = []
+        for b, states, pieces, rest in splits:
+            members[b].difference_update(states)  # what is left is the rest
+            stay = max(pieces, key=len)
+            if len(stay) > rest:
+                pieces.remove(stay)
+                if rest:
+                    pieces.append(members[b])  # the rest must move
+                members[b] = set(stay)
+            for piece in pieces:
+                fresh = len(members)
+                members.append(set(piece))
+                for p in piece:
+                    block[p] = fresh
+                moved += piece
+        dirty = {r for q in moved for r in pred[q]}
+    if len(members) > len(ids):  # some block split
+        rank: dict = {}
+        keys = [rank.setdefault(b, len(rank)) for b in block]
+    else:
+        keys = outputs
     nodes = [("left", q) for q in left.states] + [("right", q) for q in right.states]
     groups: dict = {}
-    for node, key in zip(nodes, block):
+    for node, key in zip(nodes, keys):
         groups.setdefault(key, []).append(node)
-    partition = tuple(tuple(members) for _, members in sorted(groups.items(), key=str))
+    partition = tuple(tuple(group) for _, group in sorted(groups.items(), key=str))
     left_start = left._state_index[left.initial]
     right_start = offset + right._state_index[right.initial]
     return BisimulationResult(block[left_start] == block[right_start], partition)

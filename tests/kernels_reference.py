@@ -5,12 +5,14 @@ read the automaton's cached integer successor table: a transition dict
 keyed by ``(state, symbol)`` with validated ``successors`` lookups on top,
 per-call successor index lists for the occupancy kernels (with the
 period-averaged power iteration for stationary vectors, and its own copies
-of the reachability, strong-component and period helpers), a ``move`` dict
+of the reachability, strong-component and period helpers), the wheel
+approximation scoring every size in ``Fraction`` arithmetic, a ``move`` dict
 and an all-pairs merge table over name-keyed pairs (with its 500-state
 cap) for the synchronizing-word search, per-machine walks for wheel sizes
 and classification, the two-level cycle length with its own copy of the
 per-tick first-return check (both assume each inner wheel emits on the state
-before its initial one), and bisimulation over ``(side, state)`` tuples.  None
+before its initial one), and bisimulation by relabelling every
+``(side, state)`` tuple each round until the block count stops growing.  None
 of them reads ``Automaton._succ``, so ``test_kernels_differential`` can
 check the shared table against them.
 """
@@ -25,6 +27,7 @@ from typing import Sequence
 from cmoore.analysis import (
     EXACT_PATH_LIMIT,
     SUBSET_SEARCH_LIMIT,
+    FiniteDistribution,
     OccupancyVector,
     SyncResult,
 )
@@ -40,10 +43,12 @@ from cmoore.errors import (
     AmbiguousChainError,
     BudgetError,
     HaltedError,
+    InfeasibleError,
     InputDomainError,
     UnsupportedStructureError,
 )
-from cmoore.machine import Automaton, RunTrace
+from cmoore.machine import Automaton, Constraints, RunTrace
+from cmoore.menagerie import annotate_outputs, wheel
 
 
 # -- machine ---------------------------------------------------------------
@@ -315,6 +320,61 @@ def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> Occupa
     total = steps + 1
     entries = tuple((q, counts[i] / total) for i, q in enumerate(automaton.states))
     return OccupancyVector(entries, horizon=steps, exact=False)
+
+
+# -- distribution approximation --------------------------------------------
+
+
+def approximate_distribution(
+    distribution: FiniteDistribution,
+    epsilon: Fraction | float,
+    constraints: Constraints | None = None,
+) -> Automaton:
+    """Smallest labeled wheel whose per-signal cycle occupancy matches the
+    distribution within ``epsilon`` componentwise.
+
+    Scans wheel sizes upward, apportioning states by largest remainder; if
+    no size within the state budget reaches ``epsilon`` the error reports the
+    best achievable value.
+    """
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise InputDomainError(f"epsilon must be > 0, got {epsilon}")
+    c = constraints or Constraints()
+    probs = distribution.probabilities
+    r = len(probs)
+    best_err: Fraction | None = None
+    best_size = 0
+    for k in range(max(r, 1), c.max_states + 1):
+        counts = _largest_remainder(probs, k)
+        err = max(abs(Fraction(counts[i], k) - probs[i]) for i in range(r))
+        if err <= eps:
+            machine = wheel(k, name=f"dist-wheel-{k}")
+            labels = {}
+            cursor = 0
+            for i, count in enumerate(counts):
+                for state in machine.states[cursor : cursor + count]:
+                    labels[state] = distribution.outcomes[i]
+                cursor += count
+            return annotate_outputs(machine, labels)
+        if best_err is None or err < best_err:
+            best_err, best_size = err, k
+    raise InfeasibleError(
+        f"no wheel of size <= {c.max_states} reaches epsilon {eps}; "
+        f"best achievable is {float(best_err):.3e} at size {best_size}",
+        best_epsilon=best_err,
+        best_size=best_size,
+    )
+
+
+def _largest_remainder(probs: tuple[Fraction, ...], k: int) -> list[int]:
+    scaled = [p * k for p in probs]
+    counts = [int(s) for s in scaled]  # floors; probabilities are non-negative
+    leftovers = k - sum(counts)
+    order = sorted(range(len(probs)), key=lambda i: (counts[i] - scaled[i], i))
+    for i in order[:leftovers]:
+        counts[i] += 1
+    return counts
 
 
 # -- synchronizing words ---------------------------------------------------

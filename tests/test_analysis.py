@@ -27,7 +27,7 @@ from cmoore.errors import (
     InfeasibleError,
     InputDomainError,
 )
-from cmoore.machine import Automaton, validate
+from cmoore.machine import Automaton, Constraints, validate
 from cmoore.menagerie import annotate_outputs, chain, synapse, wheel, wire
 
 GOLDEN_RECIPROCAL = 2 / (1 + math.sqrt(5))
@@ -323,6 +323,38 @@ class TestApproximateDistribution:
         for label, p in zip(dist.outcomes, dist.probabilities):
             assert abs(shares.get(label, Fraction(0)) - p) <= eps
 
+    def test_prime_denominator_scans_the_whole_budget_in_integers(self):
+        # no wheel of up to 10,000 states comes within 1e-9 of thirds of
+        # 99,991; the best size and its miss are those the Fraction scan gave
+        dist = FiniteDistribution.make(
+            [("a", Fraction(39_902, 99_991)), ("b", Fraction(20_067, 99_991)),
+             ("c", Fraction(40_022, 99_991))]
+        )
+        started = time.perf_counter()
+        with pytest.raises(InfeasibleError) as err:
+            approximate_distribution(dist, Fraction(1, 10**9))
+        assert time.perf_counter() - started < 1.0
+        assert err.value.best_epsilon == Fraction(5_103, 995_510_396)
+        assert err.value.best_size == 9_956
+        assert "best achievable is 5.126e-06 at size 9956" in str(err.value)
+
+    def test_epsilon_is_inclusive(self):
+        # size 2 gives (1, 1), which misses 1/3 and 2/3 by exactly 1/6
+        dist = FiniteDistribution.make([("a", Fraction(1, 3)), ("b", Fraction(2, 3))])
+        assert len(approximate_distribution(dist, Fraction(1, 6)).states) == 2
+
+    def test_equal_misses_report_the_smallest_size(self):
+        # sizes 2 and 3 both give "a" no state and miss 1/7 by 1/7
+        dist = FiniteDistribution.make([("a", Fraction(1, 7)), ("b", Fraction(6, 7))])
+        with pytest.raises(InfeasibleError) as err:
+            approximate_distribution(dist, Fraction(1, 8), Constraints(max_states=3))
+        assert (err.value.best_epsilon, err.value.best_size) == (Fraction(1, 7), 2)
+
+    def test_budget_below_one_state_per_outcome_is_infeasible(self):
+        dist = FiniteDistribution.parse("0.2,0.3,0.5")
+        with pytest.raises(InfeasibleError, match="starts at 3 states, one per outcome"):
+            approximate_distribution(dist, Fraction(1, 10), Constraints(max_states=2))
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             FiniteDistribution.make([("a", Fraction(1, 2)), ("b", Fraction(1, 4))])
@@ -425,13 +457,29 @@ class TestGreedySynchronization:
             synchronizing_word(m)
         assert time.perf_counter() - started < 10.0
 
+    @pytest.mark.parametrize("n, letters", [(10_000, 2), (2_000, 64)])
+    def test_permutation_letters_never_synchronize(self, n, letters):
+        m = permutation_dfa(n, letters, seed=n)
+        m._succ  # built once per machine, before timing
+        started = time.perf_counter()
+        assert synchronizing_word(m) is None
+        assert time.perf_counter() - started < 1.0
+
+    def test_one_merging_letter_beside_permutations_still_synchronizes(self):
+        m = with_merging_letter(permutation_dfa(40, 2, seed=1))
+        result = synchronizing_word(m)
+        assert result is not None
+        assert replay(m, result.word) == {result.sink}
+
     def test_many_letter_permutations_stop_promptly(self):
-        # Permutation letters never merge a pair, and 64 of them reach all
-        # two million pairs; the work limit must count each letter tried.
-        m = permutation_dfa(2_000, 64, seed=5)
+        # 64 permutation letters reach all two million pairs, and one more
+        # letter merges a single pair, so the pair search runs; the work
+        # limit must count each letter tried.
+        m = with_merging_letter(permutation_dfa(2_000, 64, seed=5))
         started = time.perf_counter()
         try:
-            assert synchronizing_word(m) is None
+            result = synchronizing_word(m)
+            assert result is not None and replay(m, result.word) == {result.sink}
         except BudgetError as exc:
             assert "work limit" in str(exc)
         assert time.perf_counter() - started < 10.0
@@ -448,6 +496,16 @@ def permutation_dfa(n, letters, seed):
         rng.shuffle(image)
         edges += zip(names, [symbol] * n, image)
     return Automaton.make(f"perm-{n}", names, inputs, names[0], edges=edges)
+
+
+def with_merging_letter(machine):
+    """``machine`` plus a letter that sends its second state onto its first
+    and fixes every other state."""
+    first, second = machine.states[:2]
+    edges = list(machine.edges)
+    edges += [(q, "merge", first if q == second else q) for q in machine.states]
+    inputs = machine.inputs + ("merge",)
+    return Automaton.make(f"{machine.name}+merge", machine.states, inputs, first, edges=edges)
 
 
 def kernels_shaped_dfa(n, seed):

@@ -9,7 +9,7 @@ from cmoore.cluster import SIMULATE_WORK_LIMIT, node_to_json
 from cmoore.lingua import PARSE_ITEM_LIMIT
 from cmoore.machine import from_json, to_doc, to_json
 from cmoore.menagerie import wheel
-from test_analysis import cerny, kernels_shaped_dfa
+from test_analysis import cerny, kernels_shaped_dfa, permutation_dfa
 from test_cluster import OTHER_EMITTING_SETS
 
 
@@ -219,6 +219,21 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "false"
 
+    def test_bisim_of_a_myriad_wheel_pair(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "bisim", "--machine", "wheel:10000", "--other", "wheel:10000")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out.splitlines() == ["true"]
+
+    def test_sync_word_of_permutation_letters_is_one_null_line(self, capsys, tmp_path):
+        path = tmp_path / "perm.json"
+        path.write_text(to_json(permutation_dfa(10_000, 2, seed=3)))
+        code, out = run_cli(capsys, "sync-word", "--machine", str(path), "--format", "json")
+        assert code == 0
+        (line,) = out.splitlines()
+        assert json.loads(line) == {"word": None}
+
     def test_simulate(self, capsys):
         code, out = run_cli(
             capsys,
@@ -279,6 +294,15 @@ class TestOtherCommands:
         )
         assert code == 1
         assert json.loads(out)["error"] == "infeasible"
+
+    def test_approx_dist_below_one_state_per_outcome_is_one_json_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("CMA_CONSTRAINTS", "m=2")
+        code, out = run_cli(capsys, "approx-dist", "--probs", "0.2,0.3,0.5", "--eps", "0.1")
+        assert code == 1
+        (line,) = out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "infeasible"
+        assert "one per outcome" in payload["message"]
 
     def test_tape_script_and_fault(self, capsys, tmp_path):
         script = tmp_path / "script.txt"

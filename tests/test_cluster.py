@@ -1,5 +1,6 @@
 """Nested-machine semantics: ticking, cycle lengths, classification,
 bisimulation."""
+import time
 from random import Random
 
 import pytest
@@ -29,6 +30,7 @@ from cmoore.cluster import (
 from cmoore.errors import BudgetError, InputDomainError, UnsupportedStructureError
 from cmoore.machine import Automaton
 from cmoore.menagerie import chain, state_names, synapse, wheel
+from test_kernels_differential import shuffled_copy
 
 
 def wheels_within_wheels(inner=(3, 5), policy="union"):
@@ -165,6 +167,22 @@ class TestTick:
         simulate(node, SIMULATE_WORK_LIMIT // 3 // 1000)
         with pytest.raises(BudgetError, match=f"work limit {SIMULATE_WORK_LIMIT}"):
             simulate(node, SIMULATE_WORK_LIMIT // 3 + 1)
+
+    def test_current_state_is_charged_its_occupied_path_only(self):
+        # a wheel:20 with a wheel:3 in every state steps 2 nodes a tick, not 21
+        node = wheels_within_wheels(inner=(3,) * 20, policy="current-state")
+        report = simulate(node, 10**6)
+        assert report.ticks_run == 10**6 and not report.halted
+        # Each inner wheel first emits after 2 ticks, then every 3 (it keeps
+        # its state while the outer one is elsewhere): 20 advances in the
+        # first 40 ticks, 333,320 after them.  The outer wheel emits on its
+        # 19th advance and every 20th after it.
+        assert report.emissions == (20 + 333_320 - 19) // 20 + 1
+
+    def test_union_is_charged_every_node(self):
+        node = wheels_within_wheels(inner=(3,) * 20)  # 21 nodes, all stepping
+        with pytest.raises(BudgetError, match=f"work limit {SIMULATE_WORK_LIMIT}"):
+            simulate(node, 10**6)
 
     def test_external_policy_just_advances_the_outer_machine(self):
         node = ClusterNode.leaf(wheel(3))
@@ -430,6 +448,56 @@ class TestBisimilar:
     def test_needs_unary_machines(self):
         with pytest.raises(UnsupportedStructureError):
             bisimilar(synapse(), wheel(4))
+
+    def test_myriad_wheel_pair_pairs_every_state(self):
+        left, right = wheel(10_000), wheel(10_000)
+        started = time.perf_counter()
+        result = bisimilar(left, right)
+        assert time.perf_counter() - started < 1.0
+        assert result.equivalent
+        # blocks are keyed by their rank of first appearance, sorted as text
+        names = left.states
+        assert result.partition == tuple(
+            (("left", names[k]), ("right", names[k])) for k in sorted(range(10_000), key=str)
+        )
+
+    def test_myriad_lazy_wheel_pair_listed_backwards(self):
+        # Each round splits off the state before the last one split off,
+        # now the lowest-indexed state of the silent block, and the self-loops
+        # make every state of a moved block dirty: a refinement that kept the
+        # first piece, not the largest, would move the whole silent block on
+        # every one of 10,000 rounds.
+        names = state_names(10_000)
+        edges = [(p, "e", q) for p, q in zip(names, names[1:] + names[:1])]
+        edges += [(q, "e", q) for q in names]
+        backwards = Automaton.make("lazy", names[::-1], ("e",), names[0], {names[-1]: "1"}, edges)
+        started = time.perf_counter()
+        result = bisimilar(backwards, backwards)
+        assert time.perf_counter() - started < 1.0
+        assert result.equivalent
+        assert len(result.partition) == 10_000
+
+    def test_wheels_of_different_periods_share_no_block(self):
+        # each state's output sequence has the period of its own wheel
+        result = bisimilar(wheel(10_000), wheel(5_000))
+        assert not result.equivalent
+        nodes = [("left", q) for q in state_names(10_000)]
+        nodes += [("right", q) for q in state_names(5_000)]
+        assert result.partition == tuple((nodes[k],) for k in sorted(range(15_000), key=str))
+
+    def test_myriad_nondeterministic_machine_matches_its_shuffled_copy(self):
+        rng = Random(7)
+        names = [f"s{i}" for i in range(10_000)]
+        edges = [(p, "e", q) for p in names for q in rng.sample(names, rng.randint(0, 3))]
+        outputs = {q: rng.choice(("", "", "", "1")) for q in names}
+        left = Automaton.make("left", names, ("e",), names[0], outputs, edges)
+        right = shuffled_copy(left, seed=7)
+        started = time.perf_counter()
+        result = bisimilar(left, right)
+        assert time.perf_counter() - started < 2.0
+        assert result.equivalent
+        for block in result.partition:  # as many copies as originals in every block
+            assert sum(side == "left" for side, _ in block) * 2 == len(block)
 
 
 class TestUnfoldAndSerialization:

@@ -13,14 +13,21 @@ exist exactly when the reference's does and replay to its sink.  The
 reference's cycle length holds only for inner wheels that emit once per turn,
 on the state before their initial one; on any other emitting set, and on
 union wheel trees of depth 1-3, the answer must be the first return found
-by stepping ``cluster_reference``.
+by stepping ``cluster_reference``.  Bisimulation is also checked on
+20-200-state machines and their shuffled copies, and the wheel approximation
+on random rational distributions under small state budgets.
 """
+from fractions import Fraction
+from random import Random
+
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import cluster_reference as cluster_ref
 import kernels_reference as ref
 from cmoore.analysis import (
+    FiniteDistribution,
+    approximate_distribution,
     monte_carlo_occupancy,
     path_count_occupancy,
     stationary_distribution,
@@ -35,8 +42,15 @@ from cmoore.cluster import (
     cycle_length,
     digit_count,
 )
-from cmoore.errors import DomainError
-from cmoore.machine import Automaton, FirstChooser, RandomChooser, run, transition_matrix
+from cmoore.errors import DomainError, InfeasibleError
+from cmoore.machine import (
+    Automaton,
+    Constraints,
+    FirstChooser,
+    RandomChooser,
+    run,
+    transition_matrix,
+)
 
 settings.register_profile(
     "kernels-differential",
@@ -218,6 +232,98 @@ def test_greedy_synchronizing_word_replays(m, data, budget):
 @given(st.one_of(unary_machines(), machines()), st.one_of(unary_machines(), machines()))
 def test_bisimilar_matches_reference(left, right):
     assert outcome(bisimilar, left, right) == outcome(ref.bisimilar, left, right)
+
+
+@st.composite
+def large_unary_machines(draw):
+    """A unary machine of 20-200 states, built from a drawn seed: random edge
+    sets (0-3 successors per state), chains of 1-30 states that mostly end
+    in a halting state, or a lazy wheel (one cycle in random order, with a
+    self-loop on about half the states).  One state in 2, 4 or 10 emits."""
+    n = draw(st.integers(20, 200))
+    shape = draw(st.sampled_from(("random", "chains", "lazy-wheel")))
+    rng = Random(draw(st.integers(0, 2**32)))
+    names = [f"s{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    edges = []
+    if shape == "random":
+        for p in names:
+            edges += [(p, "e", q) for q in rng.sample(names, rng.choice((0, 1, 1, 2, 3)))]
+    elif shape == "chains":
+        start = 0
+        while start < n:
+            stop = min(n, start + rng.randint(1, 30))
+            edges += [(p, "e", q) for p, q in zip(order[start:stop], order[start + 1 : stop])]
+            if rng.random() < 0.3:
+                edges.append((order[stop - 1], "e", rng.choice(names)))
+            start = stop
+    else:
+        edges += [(p, "e", q) for p, q in zip(order, order[1:] + order[:1])]
+        edges += [(p, "e", p) for p in names if rng.random() < 0.5]
+    density = rng.choice((2, 4, 10))
+    outputs = {q: "1" if rng.randrange(density) == 0 else "" for q in names}
+    rng.shuffle(edges)
+    return Automaton.make(shape, names, ("e",), rng.choice(names), outputs, edges)
+
+
+def shuffled_copy(m, seed):
+    """``m`` with its states renamed and listed, and its edges given, in a
+    random order: bisimilar to ``m``, with blocks first met in another order."""
+    rng = Random(seed)
+    order = rng.sample(m.states, len(m.states))
+    rename = {q: f"r{i}" for i, q in enumerate(order)}
+    edges = [(rename[p], a, rename[q]) for p, a, q in m.edges]
+    rng.shuffle(edges)
+    outputs = {rename[q]: out for q, out in m.output_map.items()}
+    return Automaton.make("copy", [rename[q] for q in order], m.inputs, rename[m.initial], outputs, edges)
+
+
+@settings(DIFFERENTIAL, max_examples=15)
+@given(large_unary_machines(), st.one_of(large_unary_machines(), st.integers(0, 2**32)))
+def test_bisimilar_matches_reference_on_large_machines(left, right):
+    """The reference relabels every state each round, so it takes about a
+    second at 200 states; few examples keep the run short."""
+    if isinstance(right, int):
+        right = shuffled_copy(left, right)
+    assert bisimilar(left, right) == ref.bisimilar(left, right)
+
+
+@st.composite
+def distributions(draw):
+    """1-5 outcomes, some perhaps 0, over one random denominator."""
+    r = draw(st.integers(1, 5))
+    denominator = draw(st.sampled_from((1, 2, 3, 7, 10, 97, 1000)) | st.integers(1, 10**6))
+    cuts = sorted(draw(st.lists(st.integers(0, denominator), min_size=r - 1, max_size=r - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, denominator])]
+    return FiniteDistribution.make([(f"o{i}", Fraction(x, denominator)) for i, x in enumerate(parts)])
+
+
+def approximation(fn, distribution, epsilon, constraints):
+    """The returned machine, or the error with its best epsilon and size."""
+    try:
+        return "ok", fn(distribution, epsilon, constraints)
+    except InfeasibleError as exc:
+        return str(exc), exc.best_epsilon, exc.best_size
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@DIFFERENTIAL
+@given(
+    distributions(),
+    st.fractions(max_value=Fraction(1, 2), max_denominator=10**9) | st.floats(1e-9, 0.5),
+    st.integers(1, 400),
+)
+def test_approximate_distribution_matches_reference(distribution, epsilon, max_states):
+    """Below one state per outcome the reference fails with a ``TypeError``
+    while formatting its message; the scan now refuses such a budget up
+    front instead."""
+    constraints = Constraints(max_states=max_states)
+    got = approximation(approximate_distribution, distribution, epsilon, constraints)
+    if epsilon > 0 and max_states < len(distribution.outcomes):
+        assert "one per outcome" in got[0] and got[1:] == (None, None)
+        return
+    assert got == approximation(ref.approximate_distribution, distribution, epsilon, constraints)
 
 
 @DIFFERENTIAL
