@@ -470,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cycle-length",
-        help="first return time of an all-wheel union cluster of any depth: closed form for "
-        "two-level menagerie wheels, else jumping from emission to emission, "
-        f"up to {cluster.CYCLE_VERIFY_BUDGET} ticks",
+        help="first return time of an all-wheel union cluster of any depth, from one period "
+        "summary per wheel; a wheel's children must recur together within "
+        f"{cluster.CYCLE_WINDOW_LIMIT} ticks, or have pairwise coprime periods",
     )
     common(p)
     p.add_argument("--cluster")

@@ -6,19 +6,18 @@ the leaves, and a node consumes a tick of its own whenever its driving inner
 machinery emits a non-silent output (several simultaneous emissions coalesce
 into one tick).  Inner machines never reset when the outer machine moves.
 
-The module also houses composite cycle lengths (the lcm-based closed form
-for two-level wheel clusters, and an event-driven first return that jumps
-from emission to emission for union wheel trees of any depth and checks the
-closed form), the temporal-structure classifier, and output bisimulation via
-worklist partition refinement.
+The module also houses return times of union trees of wheels, from one
+summary per node (its period and its emission instants over one period,
+built bottom-up), the temporal-structure classifier, and output
+bisimulation via worklist partition refinement.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Mapping, Sequence
 
 from . import menagerie
@@ -29,7 +28,7 @@ from .machine import Violation
 TICK_POLICIES = ("external", "union", "current-state")
 DEFAULT_HORIZON = 2**64
 UNFOLD_BUDGET = 100_000
-CYCLE_VERIFY_BUDGET = 1_000_000
+CYCLE_WINDOW_LIMIT = 1_000_000
 SIMULATE_WORK_LIMIT = 20_000_000
 TEMPORAL_FAMILIES = ("Z", "N", "P", "L", "C")
 
@@ -391,74 +390,6 @@ class _CompiledCluster:
             if len(seen) > budget:
                 raise BudgetError(f"unfolding exceeded {budget} configurations")
 
-    def first_return(self, budget: int) -> int:
-        """Base ticks until a tree of wheels under the union policy is back
-        in its start configuration, by next-event time advance.
-
-        The caller checks the shape.  A tick of such a tree is a bijection on
-        configurations, so the start lies on a cycle, and every configuration
-        on it first recurs after the same number of ticks.  The clock jumps
-        from one leaf emission to the next.  At each such instant the parents
-        of the emitting leaves advance, then their parents if they emitted in
-        turn, each node at most once (the coalescing of ``step``).  The
-        answer is the gap until the configuration after the first instant
-        recurs, made a multiple of the size of every leaf that never emits.
-        Past ``budget`` ticks of that gap it raises ``BudgetError``.
-        """
-        parent = [-1] * len(self.succ)
-        for i, children in enumerate(self.driven):
-            for child in children:
-                parent[child] = i
-        clock = []  # (next emission, leaf, index into the leaf's gaps)
-        gaps = {}  # per leaf, the ticks between its emissions over one turn
-        window = silent = 1
-        for leaf, succ in enumerate(self.succ):
-            if self.driven[leaf]:
-                continue
-            emits, q = self.emits[leaf], self.start[leaf]
-            times = []
-            for t in range(1, len(succ) + 1):
-                q = succ[q]
-                if emits[q]:
-                    times.append(t)
-            if not times:
-                silent = math.lcm(silent, len(succ))
-                continue
-            # the leaf configurations recur only when every leaf is back
-            window = math.lcm(window, len(succ))
-            gaps[leaf] = [b - a for a, b in zip(times, times[1:])]
-            gaps[leaf].append(times[0] + len(succ) - times[-1])
-            clock.append((times[0], leaf, 0))
-        if not clock:
-            return silent
-        if window > budget:
-            raise BudgetError(f"first return exceeds {budget} ticks (leaves recur every {window})")
-        heapq.heapify(clock)
-        first = clock[0][0]
-        state = list(self.start)
-        start = None
-        while True:
-            now = clock[0][0]
-            if now - first > budget:
-                raise BudgetError(f"first return exceeds {budget} ticks")
-            due = set()
-            while clock[0][0] == now:
-                _, leaf, k = clock[0]
-                turn = gaps[leaf]
-                heapq.heapreplace(clock, (now + turn[k], leaf, (k + 1) % len(turn)))
-                due.add(parent[leaf])
-            due.discard(-1)
-            while due:
-                i = max(due)
-                due.remove(i)
-                q = state[i] = self.succ[i][state[i]]
-                if self.emits[i][q] and parent[i] >= 0:
-                    due.add(parent[i])
-            if start is None:
-                start = list(state)
-            elif (now - first) % window == 0 and state == start:
-                return math.lcm(now - first, silent)
-
 
 def tick(state: ClusterState, node: ClusterNode) -> tuple[ClusterState, TickResult]:
     """One elementary tick at the fastest driven scale, propagated upward.
@@ -574,10 +505,9 @@ class CycleLength:
     """Exact first-return time of an all-wheel cluster, in base ticks.
 
     ``digit_count`` carries the magnitude even when the value itself is far
-    past anything simulatable; ``verified`` marks values found or
-    cross-checked by the event-driven first return, which runs up to
-    ``CYCLE_VERIFY_BUDGET`` ticks.  Only a closed form past that budget is
-    unverified.
+    past anything simulatable.  ``verified`` is true for every answer read
+    from a cluster's period summary, which is exact by construction; it is
+    false for values computed from bare sizes, with no machine built.
     """
 
     base_ticks: int
@@ -593,80 +523,116 @@ class CycleLength:
         )
 
 
-def wheel_cluster_cycle(
-    outer_size: int, inner_sizes: Sequence[int], count_budget: int = 1_000_000
-) -> int:
-    """Base ticks until an outer wheel with union-driven inner wheels returns
-    to its initial configuration.
+class _Period:
+    """A wheel of a union wheel tree, summarised over one period.
 
-    The inner configuration recurs every lcm of the inner sizes; within one
-    such window the outer wheel advances once per tick on which some inner
-    wheel signals, so the first joint return multiplies the window by
-    ``outer_size / gcd(advances_per_window, outer_size)``.  For pairwise
-    coprime sizes the advance count has a closed form; otherwise it is
-    counted by sieve, which requires the window to fit the counting budget.
+    After ``period`` base ticks the wheel and everything inside it are back
+    in their start configuration; ``emissions`` counts its emissions
+    meanwhile.  The wheel advances on every base tick at which one of its
+    children emits, or on every tick when it has none.  The children are
+    back at their starts together every W = lcm(periods) ticks.  Up to
+    ``limit`` ticks of W the wheel marks its advance ticks in one window;
+    past it, pairwise coprime periods make the children's residues
+    independent (CRT), so exactly the product of (period - emissions) over
+    the children are idle ticks and the rest are advances.  Otherwise it
+    raises ``BudgetError``.
+    With A advances per window the wheel of ``size`` states is back at its
+    start after W * size / gcd(A, size) ticks.  ``emitting`` lists the
+    advances r in [1, size] after which it stands on an emitting state.
+    """
+
+    __slots__ = ("period", "emissions", "_size", "_emitting", "_marks")
+
+    def __init__(self, size: int, emitting: list[int], children: list["_Period"], limit: int):
+        if not children:
+            window, advances, marks = 1, 1, b"\x01"
+        else:
+            window = math.lcm(*(child.period for child in children))
+            if window <= limit:
+                marks = bytearray(window)
+                for child in children:
+                    step = child.period
+                    for t in child.instants():
+                        marks[t - 1 :: step] = b"\x01" * ((window - t) // step + 1)
+                advances = marks.count(1)
+            elif window == math.prod(child.period for child in children):
+                advances = window - math.prod(c.period - c.emissions for c in children)
+                marks = None
+            else:
+                raise BudgetError(
+                    "child periods are not pairwise coprime and their lcm "
+                    f"({digit_count(window)} digits) exceeds the window limit {limit}"
+                )
+        common = math.gcd(advances, size)
+        self.period = window * size // common
+        self.emissions = advances // common * len(emitting)  # whole turns times emitters
+        self._size, self._emitting, self._marks = size, emitting, marks
+
+    def instants(self) -> list[int]:
+        """The base ticks in (0, period] at which the wheel emits, unordered.
+
+        Only a parent whose window fits the limit asks, and then every
+        child's period fits it too, so the child marked its window.
+        """
+        window = len(self._marks)
+        ticks = list(compress(range(1, window + 1), self._marks))
+        per_window = len(ticks)
+        advances = self.period // window * per_window
+        return [
+            n // per_window * window + ticks[n % per_window]
+            for r in self._emitting
+            for n in range(r - 1, advances, self._size)
+        ]
+
+
+def _summarise(compiled: _CompiledCluster, i: int, limit: int) -> _Period:
+    """The period summary of node ``i`` of a union wheel tree."""
+    succ, emits = compiled.succ[i], compiled.emits[i]
+    q, emitting = compiled.start[i], []
+    for r in range(1, len(succ) + 1):
+        q = succ[q]
+        if emits[q]:
+            emitting.append(r)
+    children = [_summarise(compiled, child, limit) for child in compiled.driven[i]]
+    return _Period(len(succ), emitting, children, limit)
+
+
+def wheel_cluster_cycle(
+    outer_size: int, inner_sizes: Sequence[int], count_budget: int = CYCLE_WINDOW_LIMIT
+) -> int:
+    """Base ticks until an outer wheel with union-driven inner menagerie
+    wheels returns to its initial configuration.
+
+    This is the union-node step of ``cycle_length`` on bare sizes, with
+    ``count_budget`` as the window limit.  A menagerie wheel emits once per
+    turn, on its last state; each is taken to emit at t = size instead, one
+    tick later for all of them, which leaves the advances per window as they
+    are.
     """
     if outer_size < 1 or any(size < 1 for size in inner_sizes):
         raise InputDomainError("wheel sizes must be >= 1")
-    if not inner_sizes:
-        return outer_size
-    window = math.lcm(*inner_sizes)
-    product = math.prod(inner_sizes)
-    if window == product:  # pairwise coprime
-        advances = product - math.prod(size - 1 for size in inner_sizes)
-    elif window <= count_budget:
-        events = bytearray(window)
-        for size in inner_sizes:
-            if size == 1:
-                events = bytearray([1]) * window
-                break
-            for t in range(size - 1, window + 1, size):
-                events[t - 1] = 1
-        advances = sum(events)
-    else:
-        raise BudgetError(
-            "inner sizes are not pairwise coprime and their lcm "
-            f"{window} exceeds the counting budget {count_budget}"
-        )
-    return window * (outer_size // math.gcd(advances, outer_size))
+    leaves = [_Period(size, [size], [], count_budget) for size in inner_sizes]
+    return _Period(outer_size, [], leaves, count_budget).period
 
 
 def cycle_length(node: ClusterNode) -> CycleLength:
     """Exact return time of an all-wheel cluster, in base ticks.
 
     Supported shapes: a single wheel, or a tree of wheels of any depth whose
-    nodes with inner wheels tick under the union policy.  A two-level tree
-    whose inner wheels each emit only on the state before their initial one
-    (the menagerie wheel) gets the closed form of ``wheel_cluster_cycle``;
-    up to ``CYCLE_VERIFY_BUDGET`` ticks it is cross-checked by the
-    event-driven first return, which jumps from emission to emission.  Every
-    other tree gets the event-driven first return itself, verified, or
-    ``BudgetError`` when it exceeds ``CYCLE_VERIFY_BUDGET`` ticks.
+    nodes with inner wheels tick under the union policy.  The answer is the
+    period of the root's summary, built bottom-up (see ``_Period``); a
+    non-coprime window past ``CYCLE_WINDOW_LIMIT`` ticks raises
+    ``BudgetError``.  A tick of such a tree is a bijection on
+    configurations, so the start lies on a cycle, one period long.
     """
-    outer_size = _wheel_size(node.machine)
-    if outer_size is None:
+    if _wheel_size(node.machine) is None:
         raise UnsupportedStructureError(
             f"{node.machine.name}: cycle length is defined for pure wheels only"
         )
-    if not node.inner:
-        return CycleLength(outer_size, digit_count(outer_size), True)
-    _check_wheel_tree(node)
-    compiled = node._compiled
-    inner = compiled.driven[0]
-    closed_form = all(not compiled.driven[c] and _signals_once_per_turn(compiled, c) for c in inner)
-    if not closed_form:
-        value = compiled.first_return(CYCLE_VERIFY_BUDGET)
-        return CycleLength(value, digit_count(value), True)
-    value = wheel_cluster_cycle(outer_size, [len(compiled.succ[c]) for c in inner])
-    verified = False
-    if value <= CYCLE_VERIFY_BUDGET:
-        simulated = compiled.first_return(CYCLE_VERIFY_BUDGET)
-        if simulated != value:
-            raise AssertionError(
-                f"analytic cycle {value} disagrees with simulation {simulated}"
-            )
-        verified = True
-    return CycleLength(value, digit_count(value), verified)
+    if node.inner:
+        _check_wheel_tree(node)
+    value = _summarise(node._compiled, 0, CYCLE_WINDOW_LIMIT).period
+    return CycleLength(value, digit_count(value), True)
 
 
 def _check_wheel_tree(node: ClusterNode) -> None:
@@ -681,12 +647,6 @@ def _check_wheel_tree(node: ClusterNode) -> None:
             )
         if child.inner:
             _check_wheel_tree(child)
-
-
-def _signals_once_per_turn(compiled: _CompiledCluster, i: int) -> bool:
-    """Whether wheel ``i`` emits exactly on the state before its initial one."""
-    start = compiled.start[i]
-    return all(e == (nxt == start) for e, nxt in zip(compiled.emits[i], compiled.succ[i]))
 
 
 def max_prime_power_sizes(limit: int = 10_000) -> list[int]:
@@ -744,7 +704,9 @@ def classify(
     The reachable unary graph must be a chain, possibly ending in a cycle: a
     cycle from the start is C, a halting chain is L, a chain into a terminal
     self-loop is L with an absorbing end, and a chain into a longer cycle is
-    eventually cyclic, reported C.  Finite structures beyond the horizon are
+    eventually cyclic, reported C.  A cluster is unfolded tick by tick up to
+    ``UNFOLD_BUDGET`` configurations, unless it is a union tree of wheels:
+    that is C of its ``cycle_length``.  Finite structures beyond the horizon are
     indistinguishable from the infinite families and flagged as effective Z
     (cycles) or N (chains).  Openness at either end cannot be observed by
     finite unfolding, so it is declared: an open start yields P, an open end
@@ -759,9 +721,12 @@ def classify(
     if open_end:
         return TemporalClass("N")
     if isinstance(target, ClusterNode):
-        # the lasso is the path of unfold(target), so it shares its budget
-        configurations, back = target._compiled.lasso(UNFOLD_BUDGET)
-        size = len(configurations)
+        try:  # a union wheel tree: its start lies on a cycle of one period
+            size, back = cycle_length(target).base_ticks, 0
+        except UnsupportedStructureError:
+            # the lasso is the path of unfold(target), so it shares its budget
+            configurations, back = target._compiled.lasso(UNFOLD_BUDGET)
+            size = len(configurations)
     else:
         size, back = _unary_walk(target)
     if back is None:

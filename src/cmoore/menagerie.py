@@ -47,11 +47,13 @@ def wheel(size: int, loops: Iterable[str] = (), name: str | None = None) -> Auto
         raise InputDomainError(f"wheel size must be >= 1, got {size}")
     names = state_names(size)
     loops = tuple(loops)
-    unknown = [s for s in loops if s not in names]
+    known = set(names)
+    unknown = [s for s in loops if s not in known]
     if unknown:
         raise InputDomainError(f"loop states {unknown!r} not among wheel states")
     edges = [(names[i], TICK, names[(i + 1) % size]) for i in range(size)]
-    edges += [(s, TICK, s) for s in loops if (s, TICK, s) not in edges]
+    cycle = set(edges)
+    edges += [(s, TICK, s) for s in loops if (s, TICK, s) not in cycle]
     return Automaton.make(
         name or _loop_name("wheel", size, loops),
         names,
@@ -72,7 +74,8 @@ def chain(size: int, loops: Iterable[str] = (), name: str | None = None) -> Auto
         raise InputDomainError(f"chain size must be >= 1, got {size}")
     names = state_names(size)
     loops = tuple(loops)
-    unknown = [s for s in loops if s not in names]
+    known = set(names)
+    unknown = [s for s in loops if s not in known]
     if unknown:
         raise InputDomainError(f"loop states {unknown!r} not among chain states")
     edges = [(names[i], TICK, names[i + 1]) for i in range(size - 1)]

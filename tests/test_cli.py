@@ -154,7 +154,16 @@ class TestCycleLength:
     def test_sizes_shortcut(self, capsys):
         code, out = run_cli(capsys, "cycle-length", "--sizes", "2:3,5", "--format", "json")
         assert code == 0
-        assert json.loads(out)["base_ticks"] == 30
+        assert json.loads(out) == {"base_ticks": 30, "digits": 2, "verified": False}
+
+    def test_classify_reads_the_cycle_length_past_the_unfold_budget(self, capsys):
+        cluster = ["--machine", "wheel:4", "--inner", "a=wheel:301", "--inner", "b=wheel:307"]
+        code, out = run_cli(capsys, "classify", *cluster)
+        assert code == 0
+        assert out.strip() == "C(369628)"
+        code, out = run_cli(capsys, "cycle-length", *cluster, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"base_ticks": 369628, "digits": 6, "verified": True}
 
     def test_astronomical_descriptor(self, capsys):
         sizes = "1229:" + ",".join(

@@ -1,5 +1,6 @@
 """Nested-machine semantics: ticking, cycle lengths, classification,
 bisimulation."""
+import math
 import time
 from random import Random
 
@@ -9,6 +10,7 @@ import cluster_reference
 from cmoore.cluster import (
     SIMULATE_WORK_LIMIT,
     ClusterNode,
+    CycleLength,
     digit_count,
     ScaleSystem,
     TemporalClass,
@@ -330,17 +332,50 @@ class TestCycleLength:
         assert result.verified
 
     @pytest.mark.parametrize(
-        "node",
+        "node, expected",
         [
-            # the leaves are back together only every 1009 * 1013 ticks
-            union_over(wheel(2), emitting_wheel(1009, ["a"]), emitting_wheel(1013, ["a"])),
-            # the leaf is back every 1000 ticks, the outer wheel every 2 * 10**6
-            union_over(wheel(2000), emitting_wheel(1000, ["a"])),
+            # The leaves emit once per turn and recur together every
+            # W = 1009 * 1013 = 1,022,117 ticks, past the window limit.  The
+            # sizes are coprime, so by CRT the outer wheel advances on
+            # A = W - 1008 * 1012 = 2,021 ticks per window, and
+            # P = W * 2 / gcd(2021, 2) = 2,044,234.
+            (
+                union_over(wheel(2), emitting_wheel(1009, ["a"]), emitting_wheel(1013, ["a"])),
+                2_044_234,
+            ),
+            # The window is the leaf's 1,000 ticks, with A = 1 advance, so
+            # P = 1000 * 2000 / gcd(1, 2000) = 2,000,000.
+            (union_over(wheel(2000), emitting_wheel(1000, ["a"])), 2_000_000),
         ],
+        ids=["node0", "node1"],
     )
-    def test_return_past_the_budget_is_refused(self, node):
-        with pytest.raises(BudgetError, match="first return exceeds 1000000 ticks"):
+    def test_long_returns_are_answered(self, node, expected):
+        result = cycle_length(node)
+        assert result == CycleLength(expected, len(str(expected)), True)
+        assert classify(node) == TemporalClass("C", expected)
+
+    def test_window_past_the_limit_without_coprime_periods_is_refused(self):
+        # lcm(2018, 2026) = 2018 * 2026 / 2 = 2,044,234 ticks of window
+        node = union_over(wheel(2), emitting_wheel(2018, ["a"]), emitting_wheel(2026, ["a"]))
+        with pytest.raises(BudgetError, match="not pairwise coprime .* window limit 1000000"):
             cycle_length(node)
+
+    def test_count_mode_inside_a_three_level_tree(self):
+        # The middle wheel has the leaves of the 2,044,234 case above, so its
+        # window W = 1009 * 1013 is past the limit and counted by CRT:
+        # A = 2,021 = 43 * 47.  A 43-state wheel then turns 47 times per
+        # period P = W, emitting 47 times.  Only (P, 47) reach the top, whose
+        # children, of periods P and 5, are coprime as well.
+        mid = union_over(wheel(43), emitting_wheel(1009, ["a"]), emitting_wheel(1013, ["a"]))
+        top = ClusterNode(wheel(10), scale=2, inner=(("a", mid), ("b", ClusterNode.leaf(wheel(5)))))
+        mid_period = 1009 * 1013
+        mid_advances = mid_period - 1008 * 1012
+        assert cycle_length(mid).base_ticks == mid_period * 43 // math.gcd(mid_advances, 43)
+        mid_emissions = mid_advances // 43
+        window = mid_period * 5
+        advances = window - (mid_period - mid_emissions) * (5 - 1)
+        expected = window * 10 // math.gcd(advances, 10)
+        assert cycle_length(top).base_ticks == expected == 10_221_170
 
     def test_prime_power_construction_is_astronomical(self):
         sizes = max_prime_power_sizes(10_000)

@@ -185,7 +185,18 @@ class TestClassifyCluster:
         assert self.both(node, horizon=29) == TemporalClass("Z", effective=True)
 
     def test_budget_error_past_the_unfold_budget(self):
-        node = product(wheel(331), wheel(337))  # 111,547 configurations per outer state
+        # Not a wheel tree, so classify walks the lasso: a stem of one
+        # configuration into a cycle of 2 * lcm(331, 337) = 223,094.
+        cycle = wheel(337)
+        stem = Automaton.make(
+            "stem-into-wheel",
+            ("stem",) + cycle.states,
+            cycle.inputs,
+            "stem",
+            cycle.outputs,
+            (("stem", cycle.inputs[0], cycle.initial),) + cycle.edges,
+        )
+        node = product(wheel(331), stem)
         with pytest.raises(BudgetError) as direct:
             classify(node)
         with pytest.raises(BudgetError) as unfolded:

@@ -12,8 +12,9 @@ on its own, and a greedy synchronizing word (past ``subset_limit``) must
 exist exactly when the reference's does and replay to its sink.  The
 reference's cycle length holds only for inner wheels that emit once per turn,
 on the state before their initial one; on any other emitting set, and on
-union wheel trees of depth 1-3, the answer must be the first return found
-by stepping ``cluster_reference``.  Bisimulation is also checked on
+union wheel trees of depth 1-4, the answer must be the first return found
+by stepping ``cluster_reference``, and ``classify`` must agree with
+classifying the unfolded machine.  Bisimulation is also checked on
 20-200-state machines and their shuffled copies, and the wheel approximation
 on random rational distributions under small state budgets.
 """
@@ -41,8 +42,9 @@ from cmoore.cluster import (
     classify,
     cycle_length,
     digit_count,
+    unfold,
 )
-from cmoore.errors import DomainError, InfeasibleError
+from cmoore.errors import BudgetError, DomainError, InfeasibleError
 from cmoore.machine import (
     Automaton,
     Constraints,
@@ -51,6 +53,7 @@ from cmoore.machine import (
     run,
     transition_matrix,
 )
+from cmoore.menagerie import wheel
 
 settings.register_profile(
     "kernels-differential",
@@ -382,7 +385,7 @@ def test_cycle_length_matches_reference(node):
 
 
 @st.composite
-def union_wheel_trees(draw, depth=3):
+def union_wheel_trees(draw, depth=4):
     """A wheel of 1-4 states in random order, emitting on a random set of
     them.  Unless ``depth`` is 1, it usually holds 1-2 such trees of depth
     ``depth - 1`` on random states, under the union policy."""
@@ -403,8 +406,36 @@ def union_wheel_trees(draw, depth=3):
     return ClusterNode(machine, max(c.scale for _, c in inner) + 1, inner, "union")
 
 
+def union_over_wheels(size, scale, *inner):
+    outer = wheel(size)
+    return ClusterNode(outer, scale, tuple(zip(outer.states, inner)), "union")
+
+
+# The middle wheel advances on every tick but emits on every other one: its
+# parent must mark the ticks at which it emits, not the ticks of any advance.
+PHASED = union_over_wheels(
+    2,
+    2,
+    union_over_wheels(2, 1, ClusterNode.leaf(wheel(2)), ClusterNode.leaf(wheel(1))),
+    ClusterNode.leaf(wheel(2)),
+)
+
+
 @DIFFERENTIAL
+@example(PHASED)
 @given(union_wheel_trees())
 def test_cycle_length_of_union_wheel_trees_matches_stepping(node):
-    """Depth 1-3, any emitting sets: the first return found by stepping."""
+    """Depth 1-4, any emitting sets: the first return found by stepping."""
     assert outcome(cycle_length, node) == stepped_cycle(node)
+
+
+@DIFFERENTIAL
+@given(union_wheel_trees(), st.integers(0, 400))
+def test_classify_of_union_wheel_trees_matches_the_unfolded_machine(node, horizon):
+    """``classify`` reads the period summary; the unfolded machine is walked."""
+    try:
+        unfolded = unfold(node)
+    except BudgetError:
+        assume(False)
+    for h in (horizon, DEFAULT_HORIZON):
+        assert classify(node, h) == classify(unfolded, h)

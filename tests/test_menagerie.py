@@ -1,4 +1,6 @@
 """Shapes and invariants of the canonical machine constructors."""
+import time
+
 import pytest
 
 from cmoore.errors import InputDomainError
@@ -45,6 +47,13 @@ class TestWheel:
     def test_unknown_loop_state(self):
         with pytest.raises(InputDomainError):
             wheel(3, loops=("zz",))
+
+    def test_fully_looped_myriad_wheel(self):
+        started = time.perf_counter()
+        m = wheel(10_000, loops=state_names(10_000))
+        assert time.perf_counter() - started < 1.0  # a scan of the edge list per loop takes seconds
+        assert len(m.edges) == 20_000
+        assert m.edges[10_000:] == tuple((q, "e", q) for q in m.states)
 
     def test_size_must_be_positive(self):
         with pytest.raises(InputDomainError):
