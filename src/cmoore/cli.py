@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cycle-length",
         help="first return time of an all-wheel union cluster of any depth, from one period "
-        "summary per wheel; a wheel's children must recur together within "
+        "summary per wheel; a wheel's emitting children must recur together within "
         f"{cluster.CYCLE_WINDOW_LIMIT} ticks, or have pairwise coprime periods",
     )
     common(p)

@@ -7,8 +7,9 @@ machinery emits a non-silent output (several simultaneous emissions coalesce
 into one tick).  Inner machines never reset when the outer machine moves.
 
 The module also houses return times of union trees of wheels, from one
-summary per node (its period and its emission instants over one period,
-built bottom-up), the temporal-structure classifier, and output
+summary per node (its period, its emission instants over one period and
+the periods of the subtrees below it that never emit, built bottom-up),
+the temporal-structure classifier, and output
 bisimulation via worklist partition refinement.
 """
 from __future__ import annotations
@@ -526,37 +527,45 @@ class CycleLength:
 class _Period:
     """A wheel of a union wheel tree, summarised over one period.
 
-    After ``period`` base ticks the wheel and everything inside it are back
-    in their start configuration; ``emissions`` counts its emissions
-    meanwhile.  The wheel advances on every base tick at which one of its
-    children emits, or on every tick when it has none.  The children are
-    back at their starts together every W = lcm(periods) ticks.  Up to
-    ``limit`` ticks of W the wheel marks its advance ticks in one window;
-    past it, pairwise coprime periods make the children's residues
-    independent (CRT), so exactly the product of (period - emissions) over
-    the children are idle ticks and the rest are advances.  Otherwise it
-    raises ``BudgetError``.
-    With A advances per window the wheel of ``size`` states is back at its
-    start after W * size / gcd(A, size) ticks.  ``emitting`` lists the
-    advances r in [1, size] after which it stands on an emitting state.
+    The wheel advances on every base tick at which one of its children
+    emits, or on every tick when it has none.  Its core, the wheel with the
+    cores of its emitting children, is back at its start exactly every
+    ``core`` ticks and ``emissions`` counts the wheel's emissions meanwhile.
+    Children that never emit only have to be back as well: the whole
+    subtree returns every ``period`` = lcm(core, ``silent``) ticks, where
+    ``silent`` is the lcm of the periods of those children and of the
+    emitting children's own ``silent``.  They stay out of the window, so a
+    silent wheel anywhere below does not widen it.
+
+    The emitting children's cores are back together every W = lcm(cores)
+    ticks.  Up to ``limit`` ticks of W the wheel marks its advance ticks in
+    one window; past it, pairwise coprime cores make the children's residues
+    independent (CRT), so exactly the product of (core - emissions) over
+    them are idle ticks and the rest are advances.  Otherwise it raises
+    ``BudgetError``.  With A advances per window the wheel of ``size``
+    states is back at its start after core = W * size / gcd(A, size) ticks.
+    ``emitting`` lists the advances r in [1, size] after which it stands on
+    an emitting state.
     """
 
-    __slots__ = ("period", "emissions", "_size", "_emitting", "_marks")
+    __slots__ = ("core", "emissions", "silent", "period", "_size", "_emitting", "_marks")
 
     def __init__(self, size: int, emitting: list[int], children: list["_Period"], limit: int):
+        silent = math.lcm(*(c.silent if c.emissions else c.period for c in children))
+        emitters = [child for child in children if child.emissions]
         if not children:
             window, advances, marks = 1, 1, b"\x01"
         else:
-            window = math.lcm(*(child.period for child in children))
+            window = math.lcm(*(child.core for child in emitters))
             if window <= limit:
                 marks = bytearray(window)
-                for child in children:
-                    step = child.period
+                for child in emitters:
+                    step = child.core
                     for t in child.instants():
                         marks[t - 1 :: step] = b"\x01" * ((window - t) // step + 1)
                 advances = marks.count(1)
-            elif window == math.prod(child.period for child in children):
-                advances = window - math.prod(c.period - c.emissions for c in children)
+            elif window == math.prod(child.core for child in emitters):
+                advances = window - math.prod(c.core - c.emissions for c in emitters)
                 marks = None
             else:
                 raise BudgetError(
@@ -564,20 +573,22 @@ class _Period:
                     f"({digit_count(window)} digits) exceeds the window limit {limit}"
                 )
         common = math.gcd(advances, size)
-        self.period = window * size // common
+        self.core = window * size // common
         self.emissions = advances // common * len(emitting)  # whole turns times emitters
+        self.silent = silent
+        self.period = math.lcm(self.core, silent)
         self._size, self._emitting, self._marks = size, emitting, marks
 
     def instants(self) -> list[int]:
-        """The base ticks in (0, period] at which the wheel emits, unordered.
+        """The base ticks in (0, core] at which the wheel emits, unordered.
 
         Only a parent whose window fits the limit asks, and then every
-        child's period fits it too, so the child marked its window.
+        emitting child's core fits it too, so the child marked its window.
         """
         window = len(self._marks)
         ticks = list(compress(range(1, window + 1), self._marks))
         per_window = len(ticks)
-        advances = self.period // window * per_window
+        advances = self.core // window * per_window
         return [
             n // per_window * window + ticks[n % per_window]
             for r in self._emitting
@@ -620,8 +631,9 @@ def cycle_length(node: ClusterNode) -> CycleLength:
 
     Supported shapes: a single wheel, or a tree of wheels of any depth whose
     nodes with inner wheels tick under the union policy.  The answer is the
-    period of the root's summary, built bottom-up (see ``_Period``); a
-    non-coprime window past ``CYCLE_WINDOW_LIMIT`` ticks raises
+    period of the root's summary, built bottom-up (see ``_Period``); a wheel
+    whose emitting children's cores recur together only past
+    ``CYCLE_WINDOW_LIMIT`` ticks, and are not pairwise coprime, raises
     ``BudgetError``.  A tick of such a tree is a bijection on
     configurations, so the start lies on a cycle, one period long.
     """
@@ -706,7 +718,10 @@ def classify(
     self-loop is L with an absorbing end, and a chain into a longer cycle is
     eventually cyclic, reported C.  A cluster is unfolded tick by tick up to
     ``UNFOLD_BUDGET`` configurations, unless it is a union tree of wheels:
-    that is C of its ``cycle_length``.  Finite structures beyond the horizon are
+    that is C of its ``cycle_length``, and a tree that ``cycle_length``
+    refuses raises its window-limit ``BudgetError``, not ``unfold``'s
+    (such a tree has over ``CYCLE_WINDOW_LIMIT`` configurations, so the
+    unfold budget would refuse it too).  Finite structures beyond the horizon are
     indistinguishable from the infinite families and flagged as effective Z
     (cycles) or N (chains).  Openness at either end cannot be observed by
     finite unfolding, so it is declared: an open start yields P, an open end

@@ -357,8 +357,33 @@ class TestCycleLength:
     def test_window_past_the_limit_without_coprime_periods_is_refused(self):
         # lcm(2018, 2026) = 2018 * 2026 / 2 = 2,044,234 ticks of window
         node = union_over(wheel(2), emitting_wheel(2018, ["a"]), emitting_wheel(2026, ["a"]))
-        with pytest.raises(BudgetError, match="not pairwise coprime .* window limit 1000000"):
+        refused = "not pairwise coprime .* window limit 1000000"
+        with pytest.raises(BudgetError, match=refused):
             cycle_length(node)
+        # classify reads the same summary, so it refuses with the same message
+        with pytest.raises(BudgetError, match=refused):
+            classify(node)
+
+    def test_silent_child_stays_out_of_the_window(self):
+        # The 2018-wheel never emits, so only the 2026-wheel marks the
+        # window: W = 2026, A = 1, core = 2026 * 2 = 4052.  The silent wheel
+        # only has to be back as well: P = lcm(4052, 2018) = 4,088,468.
+        node = union_over(wheel(2), emitting_wheel(2018, []), emitting_wheel(2026, ["a"]))
+        assert cycle_length(node) == CycleLength(4_088_468, 7, True)
+
+    def test_silent_leaf_one_level_down_stays_out_of_the_window(self):
+        # The middle wheel has core 5 * 3 = 15, emitting once, and carries
+        # the silent 2018-wheel along.  The top marks W = lcm(15, 2026) =
+        # 30,390 (with the silent leaf it would be 2018 * 15 * 2026 / 2,
+        # over the limit and not coprime): A = 2026 + 15 - 1 = 2,040, so
+        # core = 30,390 and P = lcm(30390, 2018) = 30,663,510.
+        mid = union_over(wheel(3), emitting_wheel(2018, []), emitting_wheel(5, ["a"]))
+        top = ClusterNode(
+            wheel(2),
+            scale=2,
+            inner=(("a", mid), ("b", ClusterNode.leaf(emitting_wheel(2026, ["a"])))),
+        )
+        assert cycle_length(top) == CycleLength(30_663_510, 8, True)
 
     def test_count_mode_inside_a_three_level_tree(self):
         # The middle wheel has the leaves of the 2,044,234 case above, so its
