@@ -10,7 +10,8 @@ Two distinct occupancy notions live here and are deliberately kept apart:
   induced Markov chain.
 
 For the looped 2-wheel the two disagree (golden-ratio 0.618... versus 2/3),
-and that contrast is part of the contract.
+and that contrast is part of the contract.  The stationary solver finds the
+reachable states and the closed classes in one depth-first pass.
 
 Both share one work limit, ``OCCUPANCY_WORK_LIMIT``, counted in state and
 edge visits: path counting visits every state and edge once per step, and a
@@ -150,49 +151,51 @@ def _reachable(succ: Sequence[Sequence[int]], start: int) -> dict[int, None]:
     return seen
 
 
-def _strong_components(nodes: Sequence[int], succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Kosaraju's algorithm, iterative so myriad-state cycles don't blow the
-    recursion limit."""
-    node_set = set(nodes)
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in nodes:
-        if root in seen:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen.add(root)
-        while stack:
-            node, i = stack.pop()
-            if i < len(succ[node]):
-                stack.append((node, i + 1))
-                nxt = succ[node][i]
-                if nxt in node_set and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-    reverse: dict[int, list[int]] = {n: [] for n in nodes}
-    for p in nodes:
-        for q in succ[p]:
-            if q in node_set:
-                reverse[q].append(p)
-    assigned: set[int] = set()
-    components: list[list[int]] = []
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        component = [root]
-        assigned.add(root)
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for prev in reverse[node]:
-                if prev not in assigned:
-                    assigned.add(prev)
-                    component.append(prev)
-                    queue.append(prev)
-        components.append(component)
-    return components
+def _closed_classes(
+    succ: Sequence[Sequence[int]], start: int
+) -> tuple[list[int], list[list[int]]]:
+    """The states reachable from ``start`` and the closed classes among them,
+    from one depth-first pass of Tarjan's algorithm (SIAM J. Comput. 1(2),
+    1972), iterative so myriad-state chains don't blow the recursion limit.
+    A component is closed when, as it is popped, every successor of its
+    members carries its id, the index of its root."""
+    order = [-1] * len(succ)  # discovery rank, -1 until reached
+    low = [0] * len(succ)
+    component = [-1] * len(succ)  # -1 until popped
+    reached: list[int] = []
+    stack: list[int] = []
+    work: list = []
+    closed: list[list[int]] = []
+
+    def reach(q):
+        order[q] = low[q] = len(reached)
+        reached.append(q)
+        stack.append(q)
+        work.append((q, iter(succ[q])))
+
+    reach(start)
+    while work:
+        p, targets = work[-1]
+        for q in targets:
+            if order[q] < 0:
+                reach(q)
+                break
+            if component[q] < 0:  # still on the stack: p's own component
+                low[p] = min(low[p], order[q])
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[p])
+            if low[p] == order[p]:
+                members, q = [], -1
+                while q != p:
+                    q = stack.pop()
+                    component[q] = p
+                    members.append(q)
+                if all(component[q] == p for r in members for q in succ[r]):
+                    closed.append(members)
+    return reached, closed
 
 
 def stationary_distribution(automaton: Automaton) -> OccupancyVector:
@@ -200,7 +203,8 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
 
     The chain is restricted to the states reachable from the initial state;
     a unique closed class must exist there, otherwise the stationary vector
-    is ambiguous and the closed classes are reported.  Deterministic cycles
+    is ambiguous and the closed classes are reported.  Both come from one
+    pass of Tarjan's algorithm (``_closed_classes``).  Deterministic cycles
     get an exact uniform answer (the running-average limit); everything else
     is solved by Gauss-Seidel sweeps over the class in breadth-first order
     (Stewart, Introduction to the Numerical Solution of Markov Chains, 1994,
@@ -210,18 +214,12 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
     """
     succ = _unary_table(automaton)
     start = automaton._state_index[automaton.initial]
-    reachable = _reachable(succ, start)
+    reachable, closed = _closed_classes(succ, start)
     missing = [automaton.states[i] for i in sorted(reachable) if not succ[i]]
     if missing:
         raise InputDomainError(
             f"{automaton.name}: not complete, no successor at {missing[:3]!r}"
         )
-    components = _strong_components(sorted(reachable), succ)
-    closed = []
-    for comp in components:
-        comp_set = set(comp)
-        if all(q in comp_set for p in comp for q in succ[p]):
-            closed.append(comp)
     if len(closed) > 1:
         names = sorted(tuple(automaton.states[i] for i in sorted(comp)) for comp in closed)
         raise AmbiguousChainError(

@@ -6,10 +6,11 @@ the leaves, and a node consumes a tick of its own whenever its driving inner
 machinery emits a non-silent output (several simultaneous emissions coalesce
 into one tick).  Inner machines never reset when the outer machine moves.
 
-The module also houses return times of union trees of wheels, from one
+The module also houses return times of union trees of wheels, read from
+the compiled tables: one preorder pass checks each node's shape, then one
 summary per node (its period, its emission instants over one period and
-the periods of the subtrees below it that never emit, built bottom-up),
-the temporal-structure classifier, and output
+the periods of the subtrees below it that never emit) is built children
+first.  It also houses the temporal-structure classifier, and output
 bisimulation via worklist partition refinement.
 """
 from __future__ import annotations
@@ -469,16 +470,6 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     )
 
 
-def _wheel_size(machine: Automaton) -> int | None:
-    """Size of the machine if it is one deterministic cycle through all
-    states, else None."""
-    try:
-        size, back = _unary_walk(machine)
-    except UnsupportedStructureError:
-        return None
-    return size if back == 0 and size == len(machine.states) else None
-
-
 def digit_count(value: int) -> int:
     """Exact decimal digit count, safe past the interpreter's int-to-str
     limit."""
@@ -596,18 +587,6 @@ class _Period:
         ]
 
 
-def _summarise(compiled: _CompiledCluster, i: int, limit: int) -> _Period:
-    """The period summary of node ``i`` of a union wheel tree."""
-    succ, emits = compiled.succ[i], compiled.emits[i]
-    q, emitting = compiled.start[i], []
-    for r in range(1, len(succ) + 1):
-        q = succ[q]
-        if emits[q]:
-            emitting.append(r)
-    children = [_summarise(compiled, child, limit) for child in compiled.driven[i]]
-    return _Period(len(succ), emitting, children, limit)
-
-
 def wheel_cluster_cycle(
     outer_size: int, inner_sizes: Sequence[int], count_budget: int = CYCLE_WINDOW_LIMIT
 ) -> int:
@@ -630,35 +609,49 @@ def cycle_length(node: ClusterNode) -> CycleLength:
     """Exact return time of an all-wheel cluster, in base ticks.
 
     Supported shapes: a single wheel, or a tree of wheels of any depth whose
-    nodes with inner wheels tick under the union policy.  The answer is the
-    period of the root's summary, built bottom-up (see ``_Period``); a wheel
-    whose emitting children's cores recur together only past
-    ``CYCLE_WINDOW_LIMIT`` ticks, and are not pairwise coprime, raises
-    ``BudgetError``.  A tick of such a tree is a bijection on
+    nodes with inner wheels tick under the union policy.  One preorder pass
+    over the compiled tables checks each node and records the advances
+    after which it stands on an emitting state: a wheel first returns to
+    its start after exactly as many steps as it has states, with no marker
+    on the way.  Every shape is checked before any summary is built, so an
+    ``UnsupportedStructureError`` wins over ``BudgetError``.  The answer is
+    the period of the root's summary, built children first (see
+    ``_Period``); a wheel whose emitting children's cores recur together
+    only past ``CYCLE_WINDOW_LIMIT`` ticks, and are not pairwise coprime,
+    raises ``BudgetError``.  A tick of such a tree is a bijection on
     configurations, so the start lies on a cycle, one period long.
     """
-    if _wheel_size(node.machine) is None:
-        raise UnsupportedStructureError(
-            f"{node.machine.name}: cycle length is defined for pure wheels only"
-        )
-    if node.inner:
-        _check_wheel_tree(node)
-    value = _summarise(node._compiled, 0, CYCLE_WINDOW_LIMIT).period
+    compiled = node._compiled
+    inside = {child: state for row in compiled.inner for state, child in row}
+    emitting: list[list[int]] = []
+    for i, succ in enumerate(compiled.succ):
+        start = q = compiled.start[i]
+        emitting.append([])
+        for r in range(1, len(succ) + 1):
+            q = succ[q]
+            if q < 0 or (q == start) != (r == len(succ)):
+                name = compiled.machines[i].name
+                raise UnsupportedStructureError(
+                    f"{name} (inside {inside[i]!r}) is not a pure wheel"
+                    if i
+                    else f"{name}: cycle length is defined for pure wheels only"
+                )
+            if compiled.emits[i][q]:
+                emitting[i].append(r)
+        if compiled.inner[i] and compiled.policy[i] != _UNION:
+            raise UnsupportedStructureError("cycle length assumes the union tick policy")
+    # children before parents and the left subtree first, so that of two
+    # windows past the limit the leftmost is refused
+    order, stack = [], [0]
+    while stack:
+        order.append(stack.pop())
+        stack += compiled.driven[order[-1]]
+    periods: list = [None] * len(emitting)
+    for i in reversed(order):
+        children = [periods[child] for child in compiled.driven[i]]
+        periods[i] = _Period(len(compiled.succ[i]), emitting[i], children, CYCLE_WINDOW_LIMIT)
+    value = periods[0].period
     return CycleLength(value, digit_count(value), True)
-
-
-def _check_wheel_tree(node: ClusterNode) -> None:
-    """Refuse a cluster unless its nodes with inner nodes tick under the
-    union policy and every inner machine is a wheel."""
-    if node.tick_policy != "union":
-        raise UnsupportedStructureError("cycle length assumes the union tick policy")
-    for state, child in node.inner:
-        if _wheel_size(child.machine) is None:
-            raise UnsupportedStructureError(
-                f"{child.machine.name} (inside {state!r}) is not a pure wheel"
-            )
-        if child.inner:
-            _check_wheel_tree(child)
 
 
 def max_prime_power_sizes(limit: int = 10_000) -> list[int]:

@@ -43,25 +43,7 @@ def wheel(size: int, loops: Iterable[str] = (), name: str | None = None) -> Auto
     adds self-loops on the named states, which makes the machine
     nondeterministic there.
     """
-    if size < 1:
-        raise InputDomainError(f"wheel size must be >= 1, got {size}")
-    names = state_names(size)
-    loops = tuple(loops)
-    known = set(names)
-    unknown = [s for s in loops if s not in known]
-    if unknown:
-        raise InputDomainError(f"loop states {unknown!r} not among wheel states")
-    edges = [(names[i], TICK, names[(i + 1) % size]) for i in range(size)]
-    cycle = set(edges)
-    edges += [(s, TICK, s) for s in loops if (s, TICK, s) not in cycle]
-    return Automaton.make(
-        name or _loop_name("wheel", size, loops),
-        names,
-        (TICK,),
-        names[0],
-        {names[-1]: "1"},
-        edges,
-    )
+    return _cycle("wheel", size, loops, name, closed=True)
 
 
 def chain(size: int, loops: Iterable[str] = (), name: str | None = None) -> Automaton:
@@ -70,29 +52,32 @@ def chain(size: int, loops: Iterable[str] = (), name: str | None = None) -> Auto
     The machine walks its states once and halts after ``size - 1`` ticks;
     the final state still signals "1" on entry.
     """
+    return _cycle("chain", size, loops, name, closed=False)
+
+
+def _cycle(kind: str, size: int, loops: Iterable[str], name: str | None, closed: bool) -> Automaton:
+    """A wheel, or a chain when not ``closed``, with one self-loop on each
+    state named in ``loops``: a repeated name, or a loop that is already a
+    cycle edge, adds no edge."""
     if size < 1:
-        raise InputDomainError(f"chain size must be >= 1, got {size}")
+        raise InputDomainError(f"{kind} size must be >= 1, got {size}")
     names = state_names(size)
     loops = tuple(loops)
     known = set(names)
     unknown = [s for s in loops if s not in known]
     if unknown:
-        raise InputDomainError(f"loop states {unknown!r} not among chain states")
-    edges = [(names[i], TICK, names[i + 1]) for i in range(size - 1)]
-    edges += [(s, TICK, s) for s in loops]
+        raise InputDomainError(f"loop states {unknown!r} not among {kind} states")
+    edges = [(names[i], TICK, names[(i + 1) % size]) for i in range(size if closed else size - 1)]
+    edges = list(dict.fromkeys(edges + [(s, TICK, s) for s in loops]))
+    suffix = f",loops={'+'.join(loops)}" if loops else ""
     return Automaton.make(
-        name or _loop_name("chain", size, loops),
+        name or f"{kind}-{size}{suffix}",
         names,
         (TICK,),
         names[0],
         {names[-1]: "1"},
         edges,
     )
-
-
-def _loop_name(kind: str, size: int, loops: tuple[str, ...]) -> str:
-    suffix = f",loops={'+'.join(loops)}" if loops else ""
-    return f"{kind}-{size}{suffix}"
 
 
 def synapse(
@@ -145,6 +130,7 @@ def wire(symbols: Iterable[str], name: str | None = None) -> Automaton:
 
     From any state, receiving a symbol moves to that symbol's state, which
     re-emits it; this exposes fast inner signals to slower outer machines.
+    Symbols must be distinct and non-empty.
     """
     symbols = tuple(symbols)
     if not symbols:
@@ -153,6 +139,8 @@ def wire(symbols: Iterable[str], name: str | None = None) -> Automaton:
         raise InputDomainError("wire symbols must be distinct")
     if WIRE_REST in symbols:
         raise InputDomainError(f"{WIRE_REST!r} is reserved for the rest state")
+    if "" in symbols:
+        raise InputDomainError("wire symbols must be non-empty")
     states = (WIRE_REST,) + symbols
     edges = [(src, sym, sym) for src in states for sym in symbols]
     return Automaton.make(

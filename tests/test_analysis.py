@@ -210,6 +210,18 @@ class TestStationaryDistribution:
         assert vector["s"] == 0
         assert vector["a"] == Fraction(1, 2)
 
+    def test_myriad_state_stem_into_a_two_cycle(self):
+        # the depth-first pass goes 10,000 states deep, far past the
+        # interpreter's recursion limit
+        names = [f"s{i}" for i in range(10_000)]
+        edges = [(p, "e", q) for p, q in zip(names, names[1:])] + [(names[-1], "e", names[-2])]
+        m = Automaton.make("stem", names, ["e"], names[0], edges=edges)
+        started = time.perf_counter()
+        vector = stationary_distribution(m)
+        assert time.perf_counter() - started < 1.0
+        assert vector.exact
+        assert vector[names[-2]] == vector[names[-1]] == Fraction(1, 2)
+
     @pytest.mark.parametrize("n", (100, 10_000))
     def test_lazy_wheels_answer_promptly(self, n):
         m = wheel(n, loops=("a",))

@@ -1,14 +1,18 @@
 """Command-line surface: exit codes, text output, stable JSON."""
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cmoore.cli import dispatch
 from cmoore.cluster import SIMULATE_WORK_LIMIT, node_to_json
 from cmoore.lingua import PARSE_ITEM_LIMIT
 from cmoore.machine import from_json, to_doc, to_json
-from cmoore.menagerie import wheel
+from cmoore.menagerie import AKTIONSART_CLASSES, SCHEMA_NAMES, wheel
 from test_analysis import cerny, kernels_shaped_dfa, permutation_dfa
 from test_cluster import OTHER_EMITTING_SETS
 
@@ -597,3 +601,57 @@ def test_scale_zero_cyclic_query_answers(capsys, tmp_path):
         assert code == 0
         outs.append(out.strip())
     assert outs == ["false", "true", "undefined"]
+
+
+@pytest.mark.parametrize(
+    "repeated,once",
+    [("wheel:3,loops=a+a", "wheel:3,loops=a"), ("chain:3,loops=b+b", "chain:3,loops=b")],
+)
+def test_a_repeated_loop_state_exports_one_self_loop(capsys, repeated, once):
+    code, out = run_cli(capsys, "export-dot", "--machine", repeated)
+    assert code == 0
+    want = run_cli(capsys, "export-dot", "--machine", once)[1]
+    # the first line holds the machine's name, which keeps the spec's loop list
+    assert out.splitlines()[1:] == want.splitlines()[1:]
+
+
+def test_an_empty_wire_symbol_is_one_json_line(capsys):
+    code, out = run_cli(capsys, "export-dot", "--machine", "wire:a+")
+    assert code == 1
+    assert one_json_line(out) == "wire symbols must be non-empty"
+
+
+@st.composite
+def inline_specs(draw):
+    """``--machine`` specs from the spec grammar: every kind, sizes -1..5,
+    loop lists with repeats, unknown states and empty parts, and wire
+    symbols, "+"-separated with empty parts or one per character."""
+    kind = draw(st.sampled_from(("wheel", "chain", "synapse", "wire", "akt", "schema")))
+    if kind in ("wheel", "chain"):
+        spec = f"{kind}:{draw(st.integers(-1, 5))}"
+        loops = draw(st.none() | st.lists(st.sampled_from(("a", "b", "e", "zz", "")), max_size=4))
+        return spec if loops is None else spec + ",loops=" + "+".join(loops)
+    if kind == "synapse":
+        return "synapse:" + "".join(draw(st.lists(st.sampled_from("rabt"), max_size=4)))
+    if kind == "wire":
+        parts = ("0", "1", "a", "01", "rest", "")
+        return "wire:" + "+".join(draw(st.lists(st.sampled_from(parts), min_size=1, max_size=4)))
+    names = AKTIONSART_CLASSES if kind == "akt" else SCHEMA_NAMES
+    return f"{kind}:" + draw(st.sampled_from(names + ("", "run")))
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@example("wheel:3,loops=a+a", "export-dot")
+@example("wire:a+", "classify")
+@given(inline_specs(), st.sampled_from(("export-dot", "classify")))
+def test_no_inline_spec_ends_in_a_traceback(spec, command):
+    """Exit 0, or 1 with one JSON line holding the error and its message,
+    or 2 for a usage error; no exception escapes.  stdout is redirected by
+    hand, as pytest's capture fixtures are not reset between examples."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch([command, "--machine", spec])
+    assert code in (0, 1, 2)
+    if code == 1:
+        (line,) = out.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "message"}

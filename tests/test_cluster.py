@@ -364,6 +364,30 @@ class TestCycleLength:
         with pytest.raises(BudgetError, match=refused):
             classify(node)
 
+    def test_shape_is_checked_before_any_window(self):
+        # The union node in 'a' has the window of the case above, past the
+        # limit and not coprime, but the chain in 'b' is no wheel: the shape
+        # error wins, and classify walks the lasso, which halts at the
+        # chain's end after two configurations.
+        mid = union_over(wheel(2), emitting_wheel(2018, ["a"]), emitting_wheel(2026, ["a"]))
+        top = ClusterNode(
+            wheel(3), scale=2, inner=(("a", mid), ("b", ClusterNode.leaf(chain(2), scale=1)))
+        )
+        refused = r"^chain-2 \(inside 'b'\) is not a pure wheel$"
+        with pytest.raises(UnsupportedStructureError, match=refused):
+            cycle_length(top)
+        assert classify(top) == TemporalClass("L", 2)
+
+    def test_the_leftmost_window_past_the_limit_is_refused(self):
+        # Both subtrees are refused: lcm(2018, 2026) has 7 digits and
+        # lcm(10000, 10002) = 50,010,000 has 8; the left one is met first.
+        left = union_over(wheel(2), emitting_wheel(2018, ["a"]), emitting_wheel(2026, ["a"]))
+        right = union_over(wheel(2), emitting_wheel(10_000, ["a"]), emitting_wheel(10_002, ["a"]))
+        for first, second, digits in ((left, right, 7), (right, left, 8)):
+            top = ClusterNode(wheel(2), scale=2, inner=(("a", first), ("b", second)))
+            with pytest.raises(BudgetError, match=rf"\({digits} digits\)"):
+                cycle_length(top)
+
     def test_silent_child_stays_out_of_the_window(self):
         # The 2018-wheel never emits, so only the 2026-wheel marks the
         # window: W = 2026, A = 1, core = 2026 * 2 = 4052.  The silent wheel

@@ -14,13 +14,17 @@ reference's cycle length holds only for inner wheels that emit once per turn,
 on the state before their initial one; on any other emitting set, and on
 union wheel trees of depth 1-4, the answer must be the first return found
 by stepping ``cluster_reference``, and ``classify`` must agree with
-classifying the unfolded machine.  Bisimulation is also checked on
-20-200-state machines and their shuffled copies, and the wheel approximation
-on random rational distributions under small state budgets.
+classifying the unfolded machine.  The stationary vector is also checked
+on 10-80-state machines of strongly connected blocks joined by one-way
+edges, where several closed classes or a halting state are common.
+Bisimulation is also checked on 20-200-state machines and their shuffled
+copies, and the wheel approximation on random rational distributions under
+small state budgets.
 """
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +48,7 @@ from cmoore.cluster import (
     digit_count,
     unfold,
 )
-from cmoore.errors import BudgetError, DomainError, InfeasibleError
+from cmoore.errors import AmbiguousChainError, BudgetError, DomainError, InfeasibleError
 from cmoore.machine import (
     Automaton,
     Constraints,
@@ -175,6 +179,54 @@ def check_stationary(m):
         for q in targets:
             pushed[q] += mass / len(targets)
     assert sum(abs(pushed[q] - v[q]) for q in v) < 1e-10
+
+
+@st.composite
+def block_machines(draw):
+    """A unary machine of 10-80 states, built from a drawn seed: 1-6
+    strongly connected blocks, each a cycle with about half as many extra
+    edges and self-loops inside (so the reference's power iteration mixes
+    fast), and one-way edges from each block to some later ones, so several
+    blocks may be sinks.  About one machine in four also has a halting
+    state, entered from one block."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(10, 80))
+    names = rng.sample([f"s{i}" for i in range(n)], n)
+    halting = names.pop() if rng.random() < 0.25 else None
+    cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, 5)))
+    blocks = [names[a:b] for a, b in zip([0] + cuts, cuts + [len(names)])]
+    edges = set()
+    for block in blocks:
+        edges.update(zip(block, block[1:] + block[:1]))
+        edges.update((rng.choice(block), rng.choice(block)) for _ in block if rng.random() < 0.5)
+    for i, block in enumerate(blocks):
+        for later in blocks[i + 1 :]:
+            if rng.random() < 0.4:
+                edges.add((rng.choice(block), rng.choice(later)))
+    if halting:
+        edges.add((rng.choice(rng.choice(blocks)), halting))
+    edges = [(p, "e", q) for p, q in sorted(edges)]
+    rng.shuffle(edges)
+    outputs = {q: rng.choice(("", "1")) for q in names}
+    states = names + [halting] if halting else names
+    states = rng.sample(states, len(states))
+    return Automaton.make("blocks", states, ("e",), names[0], outputs, edges)
+
+
+@settings(DIFFERENTIAL, max_examples=100)
+@given(block_machines())
+def test_stationary_matches_reference_on_block_machines(m):
+    """The reference finds closed classes by Kosaraju's two passes and a
+    scan, so ``AmbiguousChainError.classes`` is compared as well."""
+    check_stationary(m)
+    try:
+        stationary_distribution(m)
+    except AmbiguousChainError as exc:
+        with pytest.raises(AmbiguousChainError) as want:
+            ref.stationary_distribution(m)
+        assert exc.classes == want.value.classes
+    except DomainError:
+        pass  # compared by check_stationary
 
 
 BUDGETS = st.sampled_from((1, 3, 10, 1_000_000))

@@ -59,6 +59,16 @@ class TestWheel:
         with pytest.raises(InputDomainError):
             wheel(0)
 
+    @pytest.mark.parametrize("builder", [wheel, chain])
+    def test_a_repeated_loop_state_adds_one_self_loop(self, builder):
+        twice = builder(3, loops=("a", "c", "a"))
+        once = builder(3, loops=("a", "c"))
+        assert twice.edges == once.edges
+        assert twice.name == f"{builder.__name__}-3,loops=a+c+a"
+
+    def test_a_loop_on_the_one_state_wheel_is_its_cycle_edge(self):
+        assert wheel(1, loops=("a", "a")).edges == wheel(1).edges == (("a", "e", "a"),)
+
 
 class TestChain:
     def test_halts_after_size_minus_one_ticks(self):
@@ -129,6 +139,12 @@ class TestWire:
     def test_reserved_rest_name(self):
         with pytest.raises(InputDomainError):
             wire(("rest",))
+
+    @pytest.mark.parametrize("text", ["wire:a+", "wire:+a", "wire:a++b"])
+    def test_an_empty_symbol_is_refused(self, text):
+        # the empty symbol's state would emit the silent output, not its symbol
+        with pytest.raises(InputDomainError, match="wire symbols must be non-empty"):
+            build(text)
 
 
 class TestAktionsart:
