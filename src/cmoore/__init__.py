@@ -81,6 +81,7 @@ from .lingua import (
     grief_demo_network,
     inject,
     load_grammar,
+    load_network,
     parse,
     step_network,
     tense_locate,

@@ -511,30 +511,37 @@ def _greedy_merge(automaton):
 
 
 def _subset_search(automaton, budget):
-    table = automaton._succ
-    full = frozenset(range(len(automaton.states)))
-    parents: dict[frozenset, tuple[frozenset | None, int | None]] = {full: (None, None)}
+    """Breadth-first search over state subsets, kept as bitmasks.  A letter's
+    image of a subset joins the images of its bytes, read from one table per
+    letter and byte.  The caller has found a synchronizing word, so the
+    search reaches a singleton."""
+    n = len(automaton.states)
+    letters = []
+    for row in automaton._succ:
+        letters.append([])
+        for low in range(0, n, 8):
+            table = [0]  # the image of every byte value, doubled one bit at a time
+            for succ in row[low:low + 8]:
+                table += [image | 1 << succ[0] for image in table]
+            letters[-1].append((low, table))
+    full = (1 << n) - 1
+    parents: dict[int, int | None] = {full: None}  # image -> subset * letters + letter
     queue = deque([full])
-    while queue:
+    while True:
         subset = queue.popleft()
-        if len(subset) == 1:
+        if subset & (subset - 1) == 0:
             word: list[int] = []
-            node = subset
-            while True:
-                prev, a = parents[node]
-                if prev is None:
-                    break
+            while (step := parents[subset]) is not None:
+                subset, a = divmod(step, len(letters))
                 word.append(a)
-                node = prev
-            return list(reversed(word))
-        for a, row in enumerate(table):
-            image = frozenset(row[p][0] for p in subset)
+            return word[::-1]
+        for a, images in enumerate(letters):
+            image = 0
+            for low, table in images:
+                image |= table[subset >> low & 255]
             if image not in parents:
-                parents[image] = (subset, a)
+                parents[image] = subset * len(letters) + a
                 queue.append(image)
                 if len(parents) > budget:
-                    raise BudgetError(
-                        f"{automaton.name}: subset search exceeded {budget} subsets"
-                    )
-    raise BudgetError(f"{automaton.name}: subset search exhausted unexpectedly")
+                    raise BudgetError(f"{automaton.name}: subset search exceeded {budget} subsets")
 

@@ -2,10 +2,12 @@
 
 One subcommand per operation family; machine arguments accept both compact
 inline specs (wheel:4, chain:3, synapse:rab, wire:01, akt:activity,
-schema:exchange) and paths to CMA-JSON files, with inline winning.  Exit
-codes: 0 success, 1 domain errors (one machine-readable line), 2 usage
-errors.  The CMA_CONSTRAINTS environment variable overrides the structural
-budgets as "m=10000,s=256,o=8,i=10000".
+schema:exchange) and paths to CMA-JSON files, with inline winning.  Every
+JSON file goes through ``read_doc`` to the reader of the module that owns
+the document, and a malformed one is reported with its path.  Exit codes:
+0 success, 1 domain errors (one machine-readable line), 2 usage errors.
+The CMA_CONSTRAINTS environment variable overrides the structural budgets
+as "m=10000,s=256,o=8,i=10000".
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, cluster, fluents, lingua, memory
 from .errors import DomainError, InputDomainError
-from .machine import BLANK_GLYPH, Automaton, Constraints, from_json, to_dot, to_json, validate
+from .machine import BLANK_GLYPH, Automaton, Constraints, from_doc, to_dot, to_json, validate
 from .menagerie import build, parse_spec
 
 _SPEC_KINDS = ("wheel", "chain", "synapse", "wire", "akt", "schema")
@@ -54,10 +56,7 @@ def load_machine(text: str, constraints: Constraints) -> Automaton:
     if head in _SPEC_KINDS:
         return build(parse_spec(text), constraints)
     if Path(text).exists():
-        try:
-            return from_json(read_text(text))
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise InputDomainError(f"{text}: {exc}") from exc
+        return read_doc(text, from_doc)
     raise InputDomainError(f"{text!r} is neither a known machine spec nor a file")
 
 
@@ -75,10 +74,12 @@ def write_text(path: str, text: str) -> None:
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
-def read_json(path: str):
+def read_doc(path: str, loader):
+    """Parse a JSON file for ``loader``, the reader of its module; errors name the file."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        return loader(json.loads(text))
+    except (json.JSONDecodeError, InputDomainError) as exc:
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
@@ -90,11 +91,8 @@ def fraction(text: str, option: str) -> Fraction:
 
 
 def load_cluster(args, constraints: Constraints) -> cluster.ClusterNode:
-    if getattr(args, "cluster", None):
-        try:
-            return cluster.node_from_doc(read_json(args.cluster))
-        except ValueError as exc:
-            raise InputDomainError(f"{args.cluster}: {exc}") from exc
+    if args.cluster:
+        return read_doc(args.cluster, cluster.node_from_doc)
     if not args.machine:
         raise UsageError("need --machine (with optional --inner) or --cluster FILE")
     outer = load_machine(args.machine, constraints)
@@ -338,7 +336,7 @@ def cmd_tape(args, constraints):
 
 
 def cmd_fluent(args, constraints):
-    store = fluents.load_store(read_json(args.store))
+    store = read_doc(args.store, fluents.load_store)
     at = fluents.TimePoint.parse(args.at)
     value = fluents.evaluate(store, args.name, at, args.mode, fraction(args.theta, "--theta"))
     emit(args, value.value, {"fluent": args.name, "at": str(at), "value": value.value})
@@ -349,7 +347,7 @@ def cmd_parse(args, constraints):
     if args.lexicon == "demo":
         lexicon, patterns = None, None
     else:
-        lexicon, patterns = lingua.load_grammar(read_json(args.lexicon))
+        lexicon, patterns = read_doc(args.lexicon, lingua.load_grammar)
     result = lingua.parse(args.sentence, lexicon, patterns)
     items = list(result.full) or list(result.islands())
     if args.context:
@@ -372,15 +370,6 @@ def cmd_parse(args, constraints):
     return 0
 
 
-def _strings(value, size: int | None = None) -> bool:
-    """Whether a JSON value is a list of strings, of ``size`` items if given."""
-    return (
-        isinstance(value, list)
-        and all(isinstance(item, str) for item in value)
-        and (size is None or len(value) == size)
-    )
-
-
 def cmd_activate(args, constraints):
     if args.steps < 0:
         raise InputDomainError(f"steps must be >= 0, got {args.steps}")
@@ -389,19 +378,7 @@ def cmd_activate(args, constraints):
     elif args.net == "grief-demo-unaware":
         net = lingua.grief_demo_network(parent_knows=False)
     else:
-        doc = read_json(args.net)
-        try:
-            nodes, edges = doc["nodes"], doc.get("edges", [])
-            links = doc.get("static_links", [])
-            if not _strings(nodes):
-                raise ValueError("nodes must be a list of strings")
-            if not isinstance(edges, list) or not all(_strings(e, 2) for e in edges):
-                raise ValueError("each edge must be a pair of strings")
-            if not isinstance(links, list) or not all(_strings(l, 3) for l in links):
-                raise ValueError("each static link must be a triple of strings")
-            net = lingua.ActivationNetwork.build(nodes, map(tuple, edges), links)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputDomainError(f"{args.net}: malformed network document: {exc}") from exc
+        net = read_doc(args.net, lingua.load_network)
     for node in args.inject or ():
         net = lingua.inject(net, node)
     trace = []
@@ -423,15 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, machine=True):
+    def common(p, machine=True, cluster=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
         if machine:
             p.add_argument("--machine", help="inline spec (wheel:4) or CMA-JSON file")
+        if cluster:
+            p.add_argument("--cluster", help="cluster JSON file")
+            p.add_argument("--inner", action="append", help="STATE=SPEC (repeatable)")
 
     p = sub.add_parser("validate", help="structural budget report")
-    common(p)
-    p.add_argument("--cluster", help="cluster JSON file")
-    p.add_argument("--inner", action="append", help="STATE=SPEC (repeatable)")
+    common(p, cluster=True)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("export-dot", help="write a DOT diagram")
@@ -460,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sync_word)
 
     p = sub.add_parser("classify", help="temporal structure family")
-    common(p)
-    p.add_argument("--cluster")
-    p.add_argument("--inner", action="append")
+    common(p, cluster=True)
     p.add_argument("--horizon", type=int, default=cluster.DEFAULT_HORIZON)
     p.add_argument("--open-start", action="store_true")
     p.add_argument("--open-end", action="store_true")
@@ -474,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "summary per wheel; a wheel's emitting children must recur together within "
         f"{cluster.CYCLE_WINDOW_LIMIT} ticks, or have pairwise coprime periods",
     )
-    common(p)
-    p.add_argument("--cluster")
-    p.add_argument("--inner", action="append")
+    common(p, cluster=True)
     p.add_argument("--sizes", help="OUTER:L1,L2,... (analytic only, no machines built)")
     p.set_defaults(handler=cmd_cycle_length)
 
@@ -486,9 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bisim)
 
     p = sub.add_parser("simulate", help="drive a cluster and report occupancy")
-    common(p)
-    p.add_argument("--cluster")
-    p.add_argument("--inner", action="append")
+    common(p, cluster=True)
     p.add_argument("--ticks", type=int, required=True)
     p.add_argument("--policy", choices=("union", "current"))
     p.set_defaults(handler=cmd_simulate)

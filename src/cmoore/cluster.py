@@ -24,8 +24,7 @@ from typing import Mapping, Sequence
 
 from . import menagerie
 from .errors import BudgetError, InputDomainError, UnsupportedStructureError
-from .machine import SILENT, Automaton, Constraints, from_doc, to_doc, validate
-from .machine import Violation
+from .machine import SILENT, Automaton, Constraints, Violation, from_doc, to_doc, validate
 
 TICK_POLICIES = ("external", "union", "current-state")
 DEFAULT_HORIZON = 2**64
@@ -192,42 +191,20 @@ def validate_cluster(
     scales: ScaleSystem | None = None,
     constraints: Constraints | None = None,
 ) -> list[Violation]:
-    """Layerwise structural report: per-machine budgets, strict scale
-    decrease, and the global scale bounds."""
+    """Layerwise structural report: per-machine budgets and the global scale
+    bounds.  ``ClusterNode`` already refuses an inner node that does not run
+    strictly faster, so a tree can neither break that order nor nest itself."""
     scales = scales or ScaleSystem.modern()
+    bounds = f"[{scales.min_scale}, {scales.max_scale}]"
     report: list[Violation] = []
-    seen: set[int] = set()
-
-    def walk(current: ClusterNode, path: str):
-        if id(current) in seen:
-            report.append(Violation("scale-strict", path, "cyclic nesting detected"))
-            return
-        seen.add(id(current))
-        for violation in validate(current.machine, constraints):
-            report.append(
-                Violation(violation.rule, f"{path}:{violation.subject}", violation.detail)
-            )
-        if not scales.min_scale <= current.scale <= scales.max_scale:
-            report.append(
-                Violation(
-                    "scale-bounds",
-                    path,
-                    f"scale {current.scale} outside [{scales.min_scale}, {scales.max_scale}]",
-                )
-            )
-        for state, child in current.inner:
-            if child.scale >= current.scale:
-                report.append(
-                    Violation(
-                        "scale-strict",
-                        f"{path}/{state}",
-                        f"inner scale {child.scale} not below {current.scale}",
-                    )
-                )
-            walk(child, f"{path}/{state}")
-        seen.discard(id(current))
-
-    walk(node, node.machine.name)
+    stack = [(node, node.machine.name)]
+    while stack:
+        node, path = stack.pop()
+        for v in validate(node.machine, constraints):
+            report.append(Violation(v.rule, f"{path}:{v.subject}", v.detail))
+        if not scales.min_scale <= node.scale <= scales.max_scale:
+            report.append(Violation("scale-bounds", path, f"scale {node.scale} outside {bounds}"))
+        stack += [(child, f"{path}/{state}") for state, child in reversed(node.inner)]
     return report
 
 
@@ -935,12 +912,14 @@ def node_to_doc(node: ClusterNode) -> dict:
 
 
 def node_from_doc(doc: Mapping) -> ClusterNode:
-    if not isinstance(doc, Mapping) or not isinstance(doc.get("inner", {}), Mapping):
-        raise ValueError("malformed cluster document: a node and its 'inner' must be objects")
-    scale = doc.get("scale", 0)
-    if not isinstance(scale, int) or isinstance(scale, bool):
-        raise ValueError(f"malformed cluster document: scale must be an integer, got {scale!r}")
+    """Read a cluster tree from its document form; a malformed node raises
+    ``InputDomainError``, and a malformed machine its own error."""
     try:
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("inner", {}), Mapping):
+            raise TypeError("a node and its 'inner' must be objects")
+        scale = doc.get("scale", 0)
+        if not isinstance(scale, int) or isinstance(scale, bool):
+            raise TypeError(f"scale must be an integer, got {scale!r}")
         inner = tuple(
             (state, node_from_doc(sub)) for state, sub in doc.get("inner", {}).items()
         )
@@ -950,8 +929,8 @@ def node_from_doc(doc: Mapping) -> ClusterNode:
             inner=inner,
             tick_policy=doc.get("tick_policy", "external" if not inner else "union"),
         )
-    except KeyError as exc:
-        raise ValueError(f"malformed cluster document: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDomainError(f"malformed cluster document: {exc}") from exc
 
 
 def node_to_json(node: ClusterNode) -> str:
@@ -959,4 +938,7 @@ def node_to_json(node: ClusterNode) -> str:
 
 
 def node_from_json(text: str) -> ClusterNode:
-    return node_from_doc(json.loads(text))
+    try:
+        return node_from_doc(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise InputDomainError(f"malformed cluster document: {exc}") from exc

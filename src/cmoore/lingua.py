@@ -11,7 +11,8 @@ seed the chart one word at a time, and each new item is combined once, as
 the last child of every chain pattern that ends in its category.  Unary
 patterns may not form a cycle, so the chart is finite.  Readings that no
 completed pattern ever touches die out.  Ambiguous sense sets ride along on
-items instead of multiplying the forest.
+items instead of multiplying the forest.  ``load_grammar`` and
+``load_network`` read the JSON documents, under ``machine``'s string rules.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, ContradictionError, InputDomainError
 from .fluents import TimePoint
+from .machine import _rows, _text, _texts
 
 PARSE_ITEM_LIMIT = 300_000
 
@@ -552,14 +554,16 @@ def load_grammar(doc: Mapping | str) -> tuple[Lexicon, PatternSet]:
     return lexicon, patterns
 
 
-def _text(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{what} must be a string, got {value!r}")
-    return value
+def load_network(doc: Mapping) -> ActivationNetwork:
+    """Read an activation network from its JSON document form::
 
-
-def _texts(value, what: str) -> tuple[str, ...]:
-    # a bare string would otherwise be read as a list of its characters
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)
+        {"nodes": ["y", "grief(x)"], "edges": [["y", "grief(x)"]], "static_links": []}
+    """
+    try:
+        return ActivationNetwork.build(
+            _texts(doc["nodes"], "nodes"),
+            _rows(doc.get("edges", []), "edges", 2),
+            _rows(doc.get("static_links", []), "static links", 3),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDomainError(f"malformed network document: {exc}") from exc

@@ -5,7 +5,8 @@ strings (the empty string is the silent output, conventionally printed as the
 blank symbol "0"), transitions are set-valued so partial and nondeterministic
 machines are first-class values, and execution reads the output of a state on
 entry.  Machines are immutable after construction; every operation here is a
-pure function.
+pure function.  The module also reads CMA-JSON documents, under the string
+rules (``_text``, ``_texts``) that every JSON document of the package keeps.
 """
 from __future__ import annotations
 
@@ -343,17 +344,24 @@ def to_doc(automaton: Automaton) -> dict:
 
 
 def from_doc(doc: Mapping) -> Automaton:
+    """Read a machine from its CMA-JSON document form, in which every name
+    is a string; a malformed document raises ``InputDomainError``."""
     try:
+        if not isinstance(doc, Mapping):
+            raise TypeError(f"a machine document must be an object, got {doc!r}")
+        outputs = doc.get("outputs", {})
+        if not isinstance(outputs, Mapping):
+            raise TypeError(f"outputs must be an object, got {outputs!r}")
         return Automaton.make(
-            name=doc["name"],
-            states=doc["states"],
-            inputs=doc["inputs"],
-            initial=doc["initial"],
-            outputs=doc.get("outputs", {}),
-            edges=[tuple(edge) for edge in doc.get("edges", [])],
+            name=_text(doc["name"], "the name"),
+            states=_texts(doc["states"], "states"),
+            inputs=_texts(doc["inputs"], "inputs"),
+            initial=_text(doc["initial"], "the initial state"),
+            outputs={_text(q, "a state"): _text(out, "an output") for q, out in outputs.items()},
+            edges=_rows(doc.get("edges", []), "edges", 3),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed machine document: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDomainError(f"malformed machine document: {exc}") from exc
 
 
 def to_json(automaton: Automaton) -> str:
@@ -361,4 +369,29 @@ def to_json(automaton: Automaton) -> str:
 
 
 def from_json(text: str) -> Automaton:
-    return from_doc(json.loads(text))
+    try:
+        return from_doc(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise InputDomainError(f"malformed machine document: {exc}") from exc
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _texts(value, what: str, size: int | None = None) -> tuple[str, ...]:
+    # a bare string would otherwise be read as a list of its characters
+    if (not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value)
+            or size not in (None, len(value))):
+        count = "" if size is None else f"{size} "
+        raise TypeError(f"{what} must be a list of {count}strings, got {value!r}")
+    return tuple(value)
+
+
+def _rows(value, what: str, size: int) -> list[tuple[str, ...]]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    each = f"each of {what}"
+    return [_texts(row, each, size) for row in value]

@@ -419,6 +419,21 @@ class TestSynchronizingWord:
             assert image == {result.sink}
         assert found > 10  # random complete maps synchronize often
 
+    def test_cerny_18_gets_its_shortest_word(self):
+        m = cerny(18)
+        started = time.perf_counter()
+        result = synchronizing_word(m)
+        assert time.perf_counter() - started < 2.0
+        assert result.shortest
+        assert len(result.word) == 17**2
+        assert replay(m, result.word) == {result.sink}
+
+    def test_cerny_20_exceeds_the_subset_budget_promptly(self):
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="^cerny-20: subset search exceeded 1000000 subsets$"):
+            synchronizing_word(cerny(20))
+        assert time.perf_counter() - started < 5.0
+
 
 class TestGreedySynchronization:
     def test_large_machines_fall_back_to_greedy_merging(self):

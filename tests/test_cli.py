@@ -15,6 +15,7 @@ from cmoore.machine import from_json, to_doc, to_json
 from cmoore.menagerie import AKTIONSART_CLASSES, SCHEMA_NAMES, wheel
 from test_analysis import cerny, kernels_shaped_dfa, permutation_dfa
 from test_cluster import OTHER_EMITTING_SETS
+from test_machine import TWO_WHEEL
 
 
 def run_cli(capsys, *argv):
@@ -373,7 +374,9 @@ def test_unary_cycle_grammar_is_one_json_line(capsys, tmp_path):
     }))
     code, out = run_cli(capsys, "parse", "--lexicon", str(grammar), "--sentence", "the dog")
     assert code == 1
-    assert one_json_line(out) == "malformed grammar document: unary patterns form a cycle: N -> N"
+    assert one_json_line(out) == (
+        f"{grammar}: malformed grammar document: unary patterns form a cycle: N -> N"
+    )
 
 
 def test_ambiguous_parse_over_the_item_limit_is_one_json_line(capsys, tmp_path):
@@ -529,13 +532,25 @@ THE_DOG = {"the": [["Art", ["the"]]], "dog": [["N", ["dog"]]]}
         ("parse", {"words": THE_DOG, "morphology": {"the": ["the", "PL"]}}),
         ("parse", {"words": {**THE_DOG, "dog": [[1, ["dog"]]]}}),
         ("parse", {"words": THE_DOG, "patterns": [[["Art", "N"], "NP", True]]}),
+        # each but the edge pair classifies as C(2) if strings pass for lists or numbers
+        # for strings; the cluster simulates
+        ("machine", {**TWO_WHEEL, "states": "ab"}),
+        ("machine", {**TWO_WHEEL, "edges": ["aeb", "bea"]}),
+        ("machine", {**TWO_WHEEL, "states": [1, 2], "initial": 1, "outputs": {},
+                     "edges": [[1, "e", 2], [2, "e", 1]]}),
+        ("machine", {**TWO_WHEEL, "outputs": {"b": 1}}),
+        ("machine", {**TWO_WHEEL, "outputs": [["b", "1"]]}),
+        ("machine", {**TWO_WHEEL, "edges": [["a", "e"], ["b", "e", "a"]]}),
+        ("cluster", {"machine": {**TWO_WHEEL, "states": "ab"}}),
     ],
     ids=[
         "net-list", "net-without-nodes", "net-unknown-edge", "net-nodes-string",
         "net-edge-string", "net-link-pair", "cluster-list",
         "cluster-string-scale", "lexicon-words-list", "lexicon-sequence-string",
         "lexicon-senses-string", "lexicon-features-string", "lexicon-category-number",
-        "lexicon-bool-head",
+        "lexicon-bool-head", "machine-states-string", "machine-edges-strings",
+        "machine-states-numbers", "machine-output-number", "machine-outputs-list",
+        "machine-edge-pair", "cluster-machine-states-string",
     ],
 )
 def test_wrong_shape_document_is_one_json_line(capsys, tmp_path, command, doc):
@@ -544,11 +559,30 @@ def test_wrong_shape_document_is_one_json_line(capsys, tmp_path, command, doc):
     argv = {
         "activate": FILE_OPTIONS["activate"],
         "cluster": ["validate", "--cluster"],
+        "machine": ["classify", "--machine"],
         "parse": FILE_OPTIONS["parse"],
     }[command]
     code, out = run_cli(capsys, *argv, str(path))
     assert code == 1
     assert one_json_line(out)
+
+
+@pytest.mark.parametrize(
+    "argv,doc,prefix",
+    [
+        (["classify", "--machine"], {**TWO_WHEEL, "edges": [["a", "e"]]},
+         "malformed machine document: "),
+        (FILE_OPTIONS["parse"], {"words": []}, "malformed grammar document: "),
+        (FILE_OPTIONS["fluent"], {"fluents": []}, ""),
+    ],
+    ids=["machine", "grammar", "store"],
+)
+def test_document_error_names_the_file(capsys, tmp_path, argv, doc, prefix):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert one_json_line(out).startswith(f"{path}: {prefix}")
 
 
 @pytest.mark.parametrize(

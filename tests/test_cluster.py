@@ -20,7 +20,9 @@ from cmoore.cluster import (
     cycle_length,
     initial_state,
     max_prime_power_sizes,
+    node_from_doc,
     node_from_json,
+    node_to_doc,
     node_to_json,
     product,
     simulate,
@@ -30,7 +32,7 @@ from cmoore.cluster import (
     wheel_cluster_cycle,
 )
 from cmoore.errors import BudgetError, InputDomainError, UnsupportedStructureError
-from cmoore.machine import Automaton
+from cmoore.machine import Automaton, to_doc
 from cmoore.menagerie import chain, state_names, synapse, wheel
 from test_kernels_differential import shuffled_copy
 
@@ -601,6 +603,37 @@ class TestUnfoldAndSerialization:
         again = node_from_json(text)
         assert node_to_json(again) == text
         assert again == node
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"scale": "1"},
+            {"tick_policy": "sometimes"},
+            {"inner": {"a": {"machine": to_doc(wheel(3)), "scale": 1}}},
+            {"inner": {"zz": {"machine": to_doc(wheel(3))}}},
+            {"inner": []},
+        ],
+        ids=["string-scale", "unknown-policy", "inner-not-faster", "inner-on-unknown-state",
+             "inner-list"],
+    )
+    def test_wrong_shape_document_is_malformed(self, change):
+        doc = {**node_to_doc(wheels_within_wheels()), **change}
+        with pytest.raises(InputDomainError, match="^malformed cluster document: "):
+            node_from_doc(doc)
+
+    def test_node_without_machine_is_malformed(self):
+        with pytest.raises(InputDomainError, match="^malformed cluster document: 'machine'"):
+            node_from_doc({"scale": 0})
+
+    def test_a_malformed_machine_keeps_its_own_error(self):
+        doc = node_to_doc(wheels_within_wheels())
+        doc["inner"]["a"]["machine"]["states"] = "ab"
+        with pytest.raises(InputDomainError, match="^malformed machine document: states must"):
+            node_from_doc(doc)
+
+    def test_text_that_is_not_json_is_a_malformed_cluster(self):
+        with pytest.raises(InputDomainError, match="^malformed cluster document: Expecting"):
+            node_from_json("{not json")
 
     def test_product_scale_bounds(self):
         with pytest.raises(InputDomainError):

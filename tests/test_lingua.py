@@ -16,6 +16,7 @@ from cmoore.lingua import (
     disambiguate,
     grief_demo_network,
     inject,
+    load_network,
     parse,
     step_network,
     tense_locate,
@@ -332,3 +333,34 @@ class TestGrammarFiles:
 
         with pytest.raises(InputDomainError, match="^malformed grammar document: Expecting"):
             load_grammar("{not json")
+
+
+class TestNetworkFiles:
+    def test_load_network_round_trips_the_demo(self):
+        demo = grief_demo_network()
+        doc = {
+            "nodes": list(demo.nodes),
+            "edges": [list(edge) for edge in demo.edges],
+            "static_links": [list(link) for link in demo.static_links],
+        }
+        assert load_network(doc) == demo
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {},
+            {"nodes": "ab"},
+            {"nodes": ["a", 1]},
+            {"nodes": ["a", "b"], "edges": ["ab"]},
+            {"nodes": ["a", "b"], "edges": ""},
+            {"nodes": ["a", "b"], "edges": [["a", "b", "a"]]},
+            {"nodes": ["a"], "edges": [["a", "z"]]},
+            {"nodes": ["a", "b"], "static_links": [["a", "b"]]},
+        ],
+        ids=["list", "no-nodes", "nodes-string", "node-number", "edge-string",
+             "edges-string", "edge-triple", "unknown-node", "link-pair"],
+    )
+    def test_wrong_shape_document_is_malformed(self, doc):
+        with pytest.raises(InputDomainError, match="^malformed network document: "):
+            load_network(doc)

@@ -8,15 +8,36 @@ from cmoore.machine import (
     Constraints,
     FirstChooser,
     RandomChooser,
+    from_doc,
     from_json,
     run,
     step,
+    to_doc,
     to_dot,
     to_json,
     transition_matrix,
     validate,
 )
 from cmoore.menagerie import chain, gallery, synapse, wheel, wire
+
+
+TWO_WHEEL = {
+    "name": "f", "states": ["a", "b"], "initial": "a", "inputs": ["e"],
+    "outputs": {"b": "1"}, "edges": [["a", "e", "b"], ["b", "e", "a"]],
+}
+
+# each but the last two loads as a two-state wheel if strings pass for lists
+# or numbers for strings
+MALFORMED_MACHINES = {
+    "states-string": {**TWO_WHEEL, "states": "ab"},
+    "edges-strings": {**TWO_WHEEL, "edges": ["aeb", "bea"]},
+    "states-numbers": {**TWO_WHEEL, "states": [1, 2], "initial": 1, "outputs": {},
+                       "edges": [[1, "e", 2], [2, "e", 1]]},
+    "output-number": {**TWO_WHEEL, "outputs": {"b": 1}},
+    "outputs-list": {**TWO_WHEEL, "outputs": [["b", "1"]]},
+    "edge-pair": {**TWO_WHEEL, "edges": [["a", "e"], ["b", "e", "a"]]},
+    "not-an-object": [TWO_WHEEL],
+}
 
 
 def looped_two_wheel():
@@ -210,5 +231,18 @@ class TestJsonRoundTrip:
         assert from_json(text) == machine
 
     def test_malformed_document(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputDomainError):
             from_json('{"name": "x"}')
+
+    @pytest.mark.parametrize("machine", gallery(), ids=lambda m: m.name)
+    def test_document_round_trip(self, machine):
+        assert from_doc(to_doc(machine)) == machine
+
+    @pytest.mark.parametrize("doc", MALFORMED_MACHINES.values(), ids=MALFORMED_MACHINES.keys())
+    def test_wrong_shape_document_is_malformed(self, doc):
+        with pytest.raises(InputDomainError, match="^malformed machine document: "):
+            from_doc(doc)
+
+    def test_text_that_is_not_json_is_a_malformed_machine(self):
+        with pytest.raises(InputDomainError, match="^malformed machine document: Expecting"):
+            from_json("{not json")
