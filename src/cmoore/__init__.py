@@ -115,13 +115,11 @@ from .memory import (
     transition_table_size,
 )
 from .menagerie import (
-    MachineSpec,
     aktionsart,
     annotate_outputs,
     build,
     chain,
     gallery,
-    parse_spec,
     schema,
     state_names,
     synapse,

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 One subcommand per operation family; machine arguments accept both compact
-inline specs (wheel:4, chain:3, synapse:rab, wire:01, akt:activity,
-schema:exchange) and paths to CMA-JSON files, with inline winning.  Every
+inline specs (wheel:4, akt:activity, ...), which ``menagerie.build`` alone
+reads, and paths to CMA-JSON files, with inline winning.  Every
 JSON file goes through ``read_doc`` to the reader of the module that owns
 the document, and a malformed one is reported with its path.  Exit codes:
 0 success, 1 domain errors (one machine-readable line), 2 usage errors.
@@ -21,9 +21,7 @@ from pathlib import Path
 from . import analysis, cluster, fluents, lingua, memory
 from .errors import DomainError, InputDomainError
 from .machine import BLANK_GLYPH, Automaton, Constraints, from_doc, to_dot, to_json, validate
-from .menagerie import build, parse_spec
-
-_SPEC_KINDS = ("wheel", "chain", "synapse", "wire", "akt", "schema")
+from .menagerie import build, is_spec
 
 
 class UsageError(Exception):
@@ -52,9 +50,8 @@ def env_constraints() -> Constraints:
 
 
 def load_machine(text: str, constraints: Constraints) -> Automaton:
-    head = text.partition(":")[0]
-    if head in _SPEC_KINDS:
-        return build(parse_spec(text), constraints)
+    if is_spec(text):
+        return build(text, constraints)
     if Path(text).exists():
         return read_doc(text, from_doc)
     raise InputDomainError(f"{text!r} is neither a known machine spec nor a file")

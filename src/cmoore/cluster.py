@@ -338,6 +338,13 @@ class _CompiledCluster:
                 raise InputDomainError(f"{machine.name}: unknown state {st.current!r}")
             vec.append(machine._state_index[st.current])
             advances.append(st.ticks)
+            given = [s for s, _ in st.children]
+            names = [s for s, _ in self.inner[i]]
+            if len(given) != len(names) or set(given) != set(names):
+                raise InputDomainError(
+                    f"{machine.name}: state children {given!r} do not match"
+                    f" the inner states {names!r}"
+                )
             children = dict(st.children)
             for s, child in self.inner[i]:
                 visit(children[s], child)

@@ -297,7 +297,10 @@ def load_store(doc: Mapping | str, scales: ScaleSystem | None = None) -> FluentS
          "cyclic": {"day": {"period": 96, "phase": [24, 72]}}}
     """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise InputDomainError(f"malformed store document: {exc}") from exc
     doc = _object(doc, "a store document")
     base_scale = doc.get("base_scale")
     if base_scale is not None and not _is_int(base_scale):

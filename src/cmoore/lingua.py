@@ -87,8 +87,10 @@ class Phase(Enum):
 class ActivationNetwork:
     """Named threshold-2 synapses joined by directed links.
 
-    ``static_links`` carries relational background facts (parentOf and the
-    like); the edges compiled from them are what impulses travel along.
+    Impulses travel along ``edges`` only.  ``static_links`` carries
+    relational background facts (parentOf and the like) as (subject,
+    relation, object) triples; nothing compiles edges from them, so a fact
+    that should carry activation needs an edge of its own.
     """
 
     phases: tuple[tuple[str, Phase], ...]

@@ -4,11 +4,14 @@ Wheels, chains, the four-state synapse, relay wires, lexical-aspect shapes,
 and the two schema machines are all built here, each parameterized the way
 downstream analysis expects them.  Wheel and chain states are named in
 spreadsheet style (a, b, ..., z, aa, ...), the initial state is always "a",
-and the signaling state is the last state of the cycle or chain.
+and the signaling state is the last state of the cycle or chain.  ``build``
+is the one reader of the inline spec grammar (``wheel:4``, ``akt:activity``,
+...) that the command line's ``--machine``, ``--inner`` and ``--other`` take.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from typing import Iterable, Mapping
 
 from .errors import InputDomainError
@@ -217,83 +220,69 @@ def annotate_outputs(automaton: Automaton, labels: Mapping[str, str]) -> Automat
     return replace(automaton, outputs=normalized)
 
 
-@dataclass(frozen=True, eq=True)
-class MachineSpec:
-    """A compact, CLI-friendly description of a menagerie machine."""
+def _cycle_spec(kind: str, rest: str | None, c: Constraints) -> Automaton:
+    parts = rest.split(",") if rest else []
+    if not parts or not parts[0].strip():
+        raise InputDomainError(f"{kind} spec needs a size, e.g. {kind}:4")
+    try:
+        size = int(parts[0])
+    except ValueError:
+        raise InputDomainError(f"bad {kind} size {parts[0]!r}") from None
+    loops: tuple[str, ...] = ()
+    for extra in parts[1:]:
+        key, _, value = extra.partition("=")
+        if key.strip() != "loops":
+            raise InputDomainError(f"unknown {kind} option {key!r}")
+        loops = tuple(value.split("+")) if value else ()
+    if size > c.max_states:
+        raise InputDomainError(f"{kind} size {size} exceeds the state budget {c.max_states}")
+    return _cycle(kind, size, loops, None, closed=kind == "wheel")
 
-    kind: str
-    params: tuple[tuple[str, object], ...] = ()
 
-    @property
-    def param_map(self) -> dict:
-        return dict(self.params)
+def _wire_spec(rest: str | None, c: Constraints) -> Automaton:
+    if not rest:
+        raise InputDomainError("wire spec needs symbols, e.g. wire:01")
+    symbols = tuple(rest.split("+")) if "+" in rest else tuple(rest)
+    if len(symbols) > c.max_alphabet:
+        raise InputDomainError(
+            f"wire alphabet {len(symbols)} exceeds the symbol budget {c.max_alphabet}"
+        )
+    if len(symbols) + 1 > c.max_states:
+        raise InputDomainError("wire state count exceeds the state budget")
+    return wire(symbols)
 
 
-def parse_spec(text: str) -> MachineSpec:
-    """Parse compact machine specs like ``wheel:4``, ``wheel:2,loops=a``,
-    ``chain:3``, ``synapse:rab``, ``wire:01``, ``akt:activity``,
-    ``schema:exchange``."""
-    head, _, rest = text.partition(":")
+# The inline spec kinds, each with its reader.  A reader gets the text after
+# the first colon (None when there is no colon) and the structural budgets,
+# which it checks before it builds anything.
+_SPEC_READERS = {
+    "wheel": partial(_cycle_spec, "wheel"),
+    "chain": partial(_cycle_spec, "chain"),
+    "synapse": lambda rest, c: synapse("rab" if rest is None else rest),
+    "wire": _wire_spec,
+    "akt": lambda rest, c: aktionsart(rest or ""),
+    "schema": lambda rest, c: schema(rest or ""),
+}
+
+
+def is_spec(text: str) -> bool:
+    """Whether ``build`` reads ``text`` as a spec of a known kind."""
+    return text.partition(":")[0].strip() in _SPEC_READERS
+
+
+def build(spec: str, constraints: Constraints | None = None) -> Automaton:
+    """Build a machine from a compact spec like ``wheel:4``, ``wheel:2,loops=a``
+    (the last ``loops=`` wins), ``chain:3``, ``synapse:rab`` (bare ``synapse``
+    loops on r, a and b), ``wire:01`` or ``wire:x+y``, ``akt:activity`` or
+    ``schema:exchange``.  The kind is the text before the first colon,
+    stripped; parameters that exceed the structural budgets are refused
+    before anything is built."""
+    head, colon, rest = spec.partition(":")
     kind = head.strip()
-    if kind in ("wheel", "chain"):
-        parts = rest.split(",") if rest else []
-        if not parts or not parts[0].strip():
-            raise InputDomainError(f"{kind} spec needs a size, e.g. {kind}:4")
-        try:
-            size = int(parts[0])
-        except ValueError:
-            raise InputDomainError(f"bad {kind} size {parts[0]!r}") from None
-        params: list[tuple[str, object]] = [("size", size)]
-        for extra in parts[1:]:
-            key, _, value = extra.partition("=")
-            if key.strip() != "loops":
-                raise InputDomainError(f"unknown {kind} option {key!r}")
-            params.append(("loops", tuple(value.split("+")) if value else ()))
-        return MachineSpec(kind, tuple(params))
-    if kind == "synapse":
-        loops = rest if ":" in text else "rab"
-        return MachineSpec(kind, (("loops", tuple(loops)),))
-    if kind == "wire":
-        if not rest:
-            raise InputDomainError("wire spec needs symbols, e.g. wire:01")
-        symbols = tuple(rest.split("+")) if "+" in rest else tuple(rest)
-        return MachineSpec(kind, (("symbols", symbols),))
-    if kind == "akt":
-        return MachineSpec(kind, (("class", rest),))
-    if kind == "schema":
-        return MachineSpec(kind, (("name", rest),))
-    raise InputDomainError(f"unknown machine kind {kind!r}")
-
-
-def build(spec: MachineSpec | str, constraints: Constraints | None = None) -> Automaton:
-    """Build a machine from a spec, enforcing the structural budgets on its
-    parameters."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    c = constraints or Constraints()
-    params = spec.param_map
-    if spec.kind in ("wheel", "chain"):
-        size = params["size"]
-        if size > c.max_states:
-            raise InputDomainError(f"{spec.kind} size {size} exceeds the state budget {c.max_states}")
-        builder = wheel if spec.kind == "wheel" else chain
-        return builder(size, params.get("loops", ()))
-    if spec.kind == "synapse":
-        return synapse(params.get("loops", ("r", "a", "b")))
-    if spec.kind == "wire":
-        symbols = params["symbols"]
-        if len(symbols) > c.max_alphabet:
-            raise InputDomainError(
-                f"wire alphabet {len(symbols)} exceeds the symbol budget {c.max_alphabet}"
-            )
-        if len(symbols) + 1 > c.max_states:
-            raise InputDomainError("wire state count exceeds the state budget")
-        return wire(symbols)
-    if spec.kind == "akt":
-        return aktionsart(params["class"])
-    if spec.kind == "schema":
-        return schema(params["name"])
-    raise InputDomainError(f"unknown machine kind {spec.kind!r}")
+    reader = _SPEC_READERS.get(kind)
+    if reader is None:
+        raise InputDomainError(f"unknown machine kind {kind!r}")
+    return reader(rest if colon else None, constraints or Constraints())
 
 
 def gallery() -> list[Automaton]:

@@ -4,8 +4,9 @@ These are the string-walking versions the kernels had before every kernel
 read the automaton's cached integer successor table: a transition dict
 keyed by ``(state, symbol)`` with validated ``successors`` lookups on top,
 per-call successor index lists for the occupancy kernels (with the
-period-averaged power iteration for stationary vectors, and its own copies
-of the reachability, strong-component and period helpers), the wheel
+period-averaged power iteration for stationary vectors, a direct dense
+solve of the balance equations for sparse, slowly mixing classes, and its
+own copies of the reachability, strong-component and period helpers), the wheel
 approximation scoring every size in ``Fraction`` arithmetic, a ``move`` dict
 and an all-pairs merge table over name-keyed pairs (with its 500-state
 cap) for the synchronizing-word search, per-machine walks for wheel sizes
@@ -233,6 +234,72 @@ def _period(nodes: set[int], succ: list[list[int]]) -> int:
 def stationary_distribution(
     automaton: Automaton, residual: float = 1e-12, max_rounds: int = 500_000
 ) -> OccupancyVector:
+    def power_iteration(local_succ: list[list[int]]) -> list[float]:
+        size = len(local_succ)
+        period = _period(set(range(size)), local_succ)
+
+        def push(vec: list[float]) -> list[float]:
+            out = [0.0] * size
+            for p, mass in enumerate(vec):
+                if mass:
+                    share = mass / len(local_succ[p])
+                    for q in local_succ[p]:
+                        out[q] += share
+            return out
+
+        v = [1.0 / size] * size
+        for _ in range(max_rounds):
+            window = [v]
+            for _ in range(period):
+                window.append(push(window[-1]))
+            averaged = [math.fsum(col) / period for col in zip(*window[:period])]
+            drift = push(averaged)
+            if math.fsum(abs(a - b) for a, b in zip(drift, averaged)) < residual:
+                return averaged
+            v = window[-1]
+        raise BudgetError(
+            f"{automaton.name}: power iteration did not reach residual {residual} in {max_rounds} rounds"
+        )
+
+    return _stationary(automaton, power_iteration)
+
+
+def stationary_by_solve(automaton: Automaton) -> OccupancyVector:
+    """``stationary_distribution`` with the closed class's balance equations
+    vP = v, sum(v) = 1 solved directly: Gaussian elimination with partial
+    pivoting on the dense system, the last balance equation replaced by the
+    normalisation.  Its cost is cubic in the class size and does not depend
+    on how slowly the chain mixes."""
+
+    def solve(local_succ: list[list[int]]) -> list[float]:
+        size = len(local_succ)
+        rows = [[0.0] * (size + 1) for _ in range(size)]
+        for p, targets in enumerate(local_succ):
+            for q in targets:
+                rows[q][p] += 1.0 / len(targets)
+            rows[p][p] -= 1.0
+        rows[-1] = [1.0] * (size + 1)
+        for col in range(size):
+            pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            for r in range(col + 1, size):
+                factor = rows[r][col] / rows[col][col]
+                if factor:
+                    for k in range(col, size + 1):
+                        rows[r][k] -= factor * rows[col][k]
+        v = [0.0] * size
+        for r in reversed(range(size)):
+            tail = math.fsum(rows[r][k] * v[k] for k in range(r + 1, size))
+            v[r] = (rows[r][size] - tail) / rows[r][r]
+        return v
+
+    return _stationary(automaton, solve)
+
+
+def _stationary(automaton: Automaton, solve) -> OccupancyVector:
+    """The checks and the exact answer for a single cycle; any other closed
+    class gets its vector from ``solve``, which takes the class's successor
+    lists in local indices."""
     succ = _successor_indices(automaton, _unary_symbol(automaton))
     start = automaton.states.index(automaton.initial)
     reachable = _reachable(succ, start)
@@ -262,37 +329,13 @@ def stationary_distribution(
         return OccupancyVector(entries, horizon=None, exact=True)
     members = sorted(closed_set)
     position = {p: k for k, p in enumerate(members)}
-    local_succ = [[position[q] for q in succ[p]] for p in members]
-    size = len(members)
-    period = _period(set(range(size)), local_succ)
-
-    def push(vec: list[float]) -> list[float]:
-        out = [0.0] * size
-        for p, mass in enumerate(vec):
-            if mass:
-                share = mass / len(local_succ[p])
-                for q in local_succ[p]:
-                    out[q] += share
-        return out
-
-    v = [1.0 / size] * size
-    for _ in range(max_rounds):
-        window = [v]
-        for _ in range(period):
-            window.append(push(window[-1]))
-        averaged = [math.fsum(col) / period for col in zip(*window[:period])]
-        drift = push(averaged)
-        if math.fsum(abs(a - b) for a, b in zip(drift, averaged)) < residual:
-            total = math.fsum(averaged)
-            entries = tuple(
-                (q, averaged[position[i]] / total if i in closed_set else 0.0)
-                for i, q in enumerate(automaton.states)
-            )
-            return OccupancyVector(entries, horizon=None, exact=False)
-        v = window[-1]
-    raise BudgetError(
-        f"{automaton.name}: power iteration did not reach residual {residual} in {max_rounds} rounds"
+    vector = solve([[position[q] for q in succ[p]] for p in members])
+    total = math.fsum(vector)
+    entries = tuple(
+        (q, vector[position[i]] / total if i in closed_set else 0.0)
+        for i, q in enumerate(automaton.states)
     )
+    return OccupancyVector(entries, horizon=None, exact=False)
 
 
 def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> OccupancyVector:

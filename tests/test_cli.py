@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from cmoore.cli import dispatch
 from cmoore.cluster import SIMULATE_WORK_LIMIT, node_to_json
+from cmoore.errors import InputDomainError
 from cmoore.lingua import PARSE_ITEM_LIMIT
 from cmoore.machine import from_json, to_doc, to_json
-from cmoore.menagerie import AKTIONSART_CLASSES, SCHEMA_NAMES, wheel
+from cmoore.menagerie import AKTIONSART_CLASSES, SCHEMA_NAMES, build, wheel
 from test_analysis import cerny, kernels_shaped_dfa, permutation_dfa
 from test_cluster import OTHER_EMITTING_SETS
 from test_machine import TWO_WHEEL
@@ -657,31 +658,41 @@ def test_an_empty_wire_symbol_is_one_json_line(capsys):
 
 @st.composite
 def inline_specs(draw):
-    """``--machine`` specs from the spec grammar: every kind, sizes -1..5,
-    loop lists with repeats, unknown states and empty parts, and wire
+    """``--machine`` specs from the spec grammar: every kind and an unknown
+    one, heads with or without surrounding spaces, sizes -1..5, zero to two
+    ``loops=`` options with repeats, unknown states and empty parts, and wire
     symbols, "+"-separated with empty parts or one per character."""
-    kind = draw(st.sampled_from(("wheel", "chain", "synapse", "wire", "akt", "schema")))
+    kind = draw(st.sampled_from(("wheel", "chain", "synapse", "wire", "akt", "schema", "gizmo")))
+    head = draw(st.sampled_from(("", " "))) + kind + draw(st.sampled_from(("", " ", "\t")))
     if kind in ("wheel", "chain"):
-        spec = f"{kind}:{draw(st.integers(-1, 5))}"
-        loops = draw(st.none() | st.lists(st.sampled_from(("a", "b", "e", "zz", "")), max_size=4))
-        return spec if loops is None else spec + ",loops=" + "+".join(loops)
+        spec = f"{head}:{draw(st.integers(-1, 5))}"
+        loop_lists = st.lists(st.sampled_from(("a", "b", "e", "zz", "")), max_size=4)
+        for loops in draw(st.lists(loop_lists, max_size=2)):
+            spec += ",loops=" + "+".join(loops)
+        return spec
     if kind == "synapse":
-        return "synapse:" + "".join(draw(st.lists(st.sampled_from("rabt"), max_size=4)))
+        return f"{head}:" + "".join(draw(st.lists(st.sampled_from("rabt"), max_size=4)))
     if kind == "wire":
         parts = ("0", "1", "a", "01", "rest", "")
-        return "wire:" + "+".join(draw(st.lists(st.sampled_from(parts), min_size=1, max_size=4)))
+        return f"{head}:" + "+".join(draw(st.lists(st.sampled_from(parts), min_size=1, max_size=4)))
+    if kind == "gizmo":
+        return f"{head}:3"
     names = AKTIONSART_CLASSES if kind == "akt" else SCHEMA_NAMES
-    return f"{kind}:" + draw(st.sampled_from(names + ("", "run")))
+    return f"{head}:" + draw(st.sampled_from(names + ("", "run")))
 
 
 @settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @example("wheel:3,loops=a+a", "export-dot")
 @example("wire:a+", "classify")
+@example(" wheel :4", "classify")
+@example("chain:3,loops=a,loops=b", "export-dot")
 @given(inline_specs(), st.sampled_from(("export-dot", "classify")))
 def test_no_inline_spec_ends_in_a_traceback(spec, command):
     """Exit 0, or 1 with one JSON line holding the error and its message,
-    or 2 for a usage error; no exception escapes.  stdout is redirected by
-    hand, as pytest's capture fixtures are not reset between examples."""
+    or 2 for a usage error; no exception escapes.  A spec that ``build``
+    accepts is never called "neither a known machine spec nor a file".
+    stdout is redirected by hand, as pytest's capture fixtures are not reset
+    between examples."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch([command, "--machine", spec])
@@ -689,3 +700,8 @@ def test_no_inline_spec_ends_in_a_traceback(spec, command):
     if code == 1:
         (line,) = out.getvalue().splitlines()
         assert set(json.loads(line)) == {"error", "message"}
+    try:
+        build(spec)
+    except InputDomainError:
+        return
+    assert "neither a known machine spec nor a file" not in out.getvalue()

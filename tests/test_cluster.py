@@ -10,6 +10,7 @@ import cluster_reference
 from cmoore.cluster import (
     SIMULATE_WORK_LIMIT,
     ClusterNode,
+    ClusterState,
     CycleLength,
     digit_count,
     ScaleSystem,
@@ -261,6 +262,21 @@ class TestTick:
         node = ClusterNode.leaf(wheel(2, loops=("a",)))
         with pytest.raises(UnsupportedStructureError):
             tick(initial_state(node), node)
+
+    @pytest.mark.parametrize(
+        "children",
+        [
+            (("a", ClusterState("a")),),
+            (("a", ClusterState("a")), ("b", ClusterState("a")), ("c", ClusterState("zz"))),
+            (("a", ClusterState("a")), ("a", ClusterState("a"))),
+            (("a", ClusterState("a")), ("b", ClusterState("a", 0, (("a", ClusterState("a")),)))),
+        ],
+        ids=["missing", "extra", "repeated", "under-a-leaf"],
+    )
+    def test_state_children_must_match_the_inner_states(self, children):
+        node = product(wheel(2), wheel(3))
+        with pytest.raises(InputDomainError, match="do not match the inner states"):
+            tick(ClusterState("a", 0, children), node)
 
 
 class TestCycleLength:

@@ -250,6 +250,11 @@ class TestStoreDocuments:
         assert store.value_at("tide", 13) is True
         assert store.names() == ("rain", "tide")
 
+    def test_text_that_is_not_json_is_a_malformed_store(self):
+        assert load_store('{"fluents": {}}').names() == ()
+        with pytest.raises(InputDomainError, match="^malformed store document: Expecting"):
+            load_store("{bad")
+
     def test_ranges_must_stay_in_domain(self):
         store = FluentStore(ScaleSystem.modern(), 0)
         with pytest.raises(InputDomainError):

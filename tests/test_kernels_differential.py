@@ -16,7 +16,9 @@ union wheel trees of depth 1-4, the answer must be the first return found
 by stepping ``cluster_reference``, and ``classify`` must agree with
 classifying the unfolded machine.  The stationary vector is also checked
 on 10-80-state machines of strongly connected blocks joined by one-way
-edges, where several closed classes or a halting state are common.
+edges, where several closed classes or a halting state are common, and on
+sparse ones (0-3 extra edges per block) against a direct solve of the
+balance equations, as power iteration mixes too slowly there.
 Bisimulation is also checked on 20-200-state machines and their shuffled
 copies, and the wheel approximation on random rational distributions under
 small state budgets.
@@ -159,12 +161,12 @@ def test_occupancy_kernels_match_reference(m, steps, seed):
     )
 
 
-def check_stationary(m):
-    """Errors and exact vectors match the reference exactly; a float vector
-    has the same states, is within 1e-9 of the reference's entry by entry,
-    and its own residual ||vP - v||_1 is below 1e-10."""
+def check_stationary(m, oracle=ref.stationary_distribution):
+    """Errors and exact vectors match the reference ``oracle`` exactly; a
+    float vector has the same states, is within 1e-9 of the oracle's entry
+    by entry, and its own residual ||vP - v||_1 is below 1e-10."""
     got = outcome(stationary_distribution, m)
-    want = outcome(ref.stationary_distribution, m)
+    want = outcome(oracle, m)
     if got[0] != "ok" or want[0] != "ok" or want[1].exact:
         assert got == want
         return
@@ -182,11 +184,12 @@ def check_stationary(m):
 
 
 @st.composite
-def block_machines(draw):
+def block_machines(draw, extra_edges=None):
     """A unary machine of 10-80 states, built from a drawn seed: 1-6
     strongly connected blocks, each a cycle with about half as many extra
     edges and self-loops inside (so the reference's power iteration mixes
-    fast), and one-way edges from each block to some later ones, so several
+    fast), or with a number of them drawn from the range ``extra_edges``,
+    and one-way edges from each block to some later ones, so several
     blocks may be sinks.  About one machine in four also has a halting
     state, entered from one block."""
     rng = Random(draw(st.integers(0, 2**32)))
@@ -198,7 +201,11 @@ def block_machines(draw):
     edges = set()
     for block in blocks:
         edges.update(zip(block, block[1:] + block[:1]))
-        edges.update((rng.choice(block), rng.choice(block)) for _ in block if rng.random() < 0.5)
+        if extra_edges is None:
+            edges.update((rng.choice(block), rng.choice(block)) for _ in block if rng.random() < 0.5)
+        else:
+            extra = range(rng.randint(*extra_edges))
+            edges.update((rng.choice(block), rng.choice(block)) for _ in extra)
     for i, block in enumerate(blocks):
         for later in blocks[i + 1 :]:
             if rng.random() < 0.4:
@@ -227,6 +234,14 @@ def test_stationary_matches_reference_on_block_machines(m):
         assert exc.classes == want.value.classes
     except DomainError:
         pass  # compared by check_stationary
+
+
+@settings(DIFFERENTIAL, max_examples=100)
+@given(block_machines(extra_edges=(0, 3)))
+def test_stationary_matches_a_direct_solve_on_sparse_block_machines(m):
+    """With 0-3 extra edges per block the closed classes mix slowly, so the
+    oracle solves their balance equations directly instead of iterating."""
+    check_stationary(m, ref.stationary_by_solve)
 
 
 BUDGETS = st.sampled_from((1, 3, 10, 1_000_000))

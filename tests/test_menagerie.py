@@ -11,7 +11,6 @@ from cmoore.menagerie import (
     build,
     chain,
     gallery,
-    parse_spec,
     schema,
     state_names,
     synapse,
@@ -174,6 +173,11 @@ class TestAktionsart:
         loops = {src for src, _, dst in m.edges if src == dst}
         assert loops == {"a", "b"}
 
+    def test_the_last_loops_option_wins(self):
+        m = build("wheel:3,loops=a,loops=c")
+        assert m == build("wheel:3,loops=c")
+        assert {src for src, _, dst in m.edges if src == dst} == {"c"}
+
     def test_unknown_class(self):
         with pytest.raises(InputDomainError):
             aktionsart("telicity")
@@ -239,7 +243,7 @@ class TestSpecs:
         ],
     )
     def test_spec_strings_build(self, text, states, edges):
-        m = build(parse_spec(text))
+        m = build(text)
         assert len(m.states) == states
         assert len(m.edges) == edges
 
@@ -250,7 +254,7 @@ class TestSpecs:
 
     def test_unknown_kind(self):
         with pytest.raises(InputDomainError):
-            parse_spec("gizmo:3")
+            build("gizmo:3")
 
     def test_parameters_respect_constraints(self):
         with pytest.raises(InputDomainError):
