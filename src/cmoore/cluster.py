@@ -220,6 +220,44 @@ _EXTERNAL, _UNION, _CURRENT_STATE = range(3)
 _HALTED, _IDLE, _ADVANCED, _EMITTED = -1, 0, 1, 2
 
 
+class _Walk:
+    """The run of leaf ``node`` from its start, for skipping quiet ticks.
+
+    A tick from a state is an event of the leaf when it emits or meets a
+    marker.  ``gap`` holds, per state on the run, the ticks up to and
+    including the leaf's next event tick (``math.inf`` when none comes);
+    ``advance`` moves a state on by ticks that hold no event.
+    """
+
+    __slots__ = ("node", "gap", "_states", "_position", "_back")
+
+    def __init__(self, node: int, succ: list[int], emits: list[bool], start: int):
+        position = [-1] * len(succ)
+        states = []
+        q = start
+        while q >= 0 and position[q] < 0:
+            position[q] = len(states)
+            states.append(q)
+            q = succ[q]
+        back = position[q] if q >= 0 else len(states)  # where the run turns, if it does
+        unrolled = states + states[back:]  # the cycle once more
+        gap = [math.inf] * len(succ)
+        nxt = math.inf
+        for k in reversed(range(len(unrolled))):
+            p = unrolled[k]
+            if succ[p] < 0 or emits[succ[p]]:
+                nxt = k
+            gap[p] = nxt - k + 1
+        self.node, self.gap = node, gap
+        self._states, self._position, self._back = states, position, back
+
+    def advance(self, state: int, ticks: int) -> int:
+        k = self._position[state] + ticks
+        if k >= len(self._states):  # only a run that turns goes past its end
+            k = self._back + (k - self._back) % (len(self._states) - self._back)
+        return self._states[k]
+
+
 def _successor_table(machine: Automaton) -> list[int]:
     """The successor index of each state on the unary tick, or a marker."""
     if len(machine.inputs) != 1:
@@ -241,7 +279,7 @@ class _CompiledCluster:
     current-state.
     """
 
-    __slots__ = ("machines", "succ", "emits", "policy", "driven", "inner", "start")
+    __slots__ = ("machines", "succ", "emits", "policy", "driven", "inner", "start", "walks")
 
     def __init__(self, root: ClusterNode):
         self.machines: list[Automaton] = []
@@ -251,6 +289,7 @@ class _CompiledCluster:
         self.driven: list[list[int]] = []
         self.inner: list[list[tuple[str, int]]] = []
         self.start: list[int] = []
+        self.walks: dict[int, _Walk] = {}  # per leaf, built when simulate first runs it
         self._add(root)
 
     def _add(self, node: ClusterNode) -> int:
@@ -318,6 +357,27 @@ class _CompiledCluster:
         vec[i] = nxt
         advances[i] += 1
         return _EMITTED if self.emits[i][nxt] else _ADVANCED
+
+    def running(self, vec: list[int]) -> list[_Walk]:
+        """The walks of the leaves a tick steps: nodes that drive nothing,
+        reached from the root through union children and occupied
+        current-state slots."""
+        walks, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            policy = self.policy[i]
+            if policy == _UNION:
+                stack += self.driven[i]
+            elif policy == _CURRENT_STATE:
+                child = self.driven[i][vec[i]]
+                if child >= 0:
+                    stack.append(child)
+            else:
+                walk = self.walks.get(i)
+                if walk is None:
+                    walk = self.walks[i] = _Walk(i, self.succ[i], self.emits[i], self.start[i])
+                walks.append(walk)
+        return walks
 
     def render(self, vec, i: int = 0) -> str:
         """The nested configuration name, as ``ClusterState.render`` gives it."""
@@ -410,6 +470,12 @@ class SimulationReport:
         return {state: count / self.ticks_run for state, count in self.state_counts}
 
 
+# simulate skips a quiet stretch only when it is longer than _QUIET_MIN
+# ticks, and otherwise steps plainly in runs of up to _PLAIN_RUN ticks.
+_QUIET_MIN = 4
+_PLAIN_RUN = 64
+
+
 def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     """Drive a cluster for ``ticks`` base ticks, tallying where the outermost
     machine spends them.
@@ -419,7 +485,24 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     the largest one under current-state, where only the occupied child
     steps.  ``ticks`` times the root's cost over ``SIMULATE_WORK_LIMIT`` (a
     few seconds of stepping) raises ``BudgetError`` before the first tick.
+    The limit bounds the stepping admitted, not the work done, which is
+    often far less:
+
+    - **Quiet ticks.**  Until a running leaf emits or meets a marker, only
+      the running leaves move (see ``_CompiledCluster.running``), so a
+      stretch of such ticks moves each of them along its run at once and
+      adds to the root's current state.  Every other tick is one ``step``,
+      so halts, errors and their order are those of ``tick``.  Where
+      stretches are short the ticks are stepped plainly, in runs that
+      double up to ``_PLAIN_RUN`` ticks before the next look.
+    - **Whole laps.**  The configuration after a root advance is saved
+      again at the first root advance past each doubling of the ticks run
+      (Brent's cycle detection).  When it comes back, the lap's counts and
+      emissions are multiplied by the whole laps left and the remainder is
+      run out.
     """
+    if not isinstance(ticks, int) or isinstance(ticks, bool):
+        raise InputDomainError(f"ticks must be an integer, got {ticks!r}")
     if ticks < 0:
         raise InputDomainError(f"ticks must be >= 0, got {ticks}")
     compiled = node._compiled
@@ -437,18 +520,49 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     vec = list(compiled.start)
     advances = [0] * len(vec)
     counts = [0] * len(node.machine.states)
-    emissions = 0
+    emissions = ran = 0
     halted = False
-    ran = 0
-    for _ in range(ticks):
-        done = step(vec, advances)
-        if done == _HALTED:
-            halted = True
+    root_moves_alone = compiled.policy[0] == _EXTERNAL  # every tick advances the root
+    saved, save_at = None, 1  # Brent's saved configuration, and when to save anew
+    plain = 1
+    while ran < ticks:
+        run = ticks - ran
+        if not root_moves_alone:
+            walks = compiled.running(vec)
+            gap = min([walk.gap[vec[walk.node]] for walk in walks], default=math.inf)
+            if gap > _QUIET_MIN:
+                quiet = min(gap - 1, run)
+                for walk in walks:
+                    vec[walk.node] = walk.advance(vec[walk.node], quiet)
+                counts[vec[0]] += quiet
+                ran += quiet
+                run, plain = 1, 1
+                if ran == ticks:
+                    break
+            else:
+                run = min(run, max(gap, plain))
+                plain = min(2 * plain, _PLAIN_RUN)
+        for ran in range(ran + 1, ran + run + 1):
+            done = step(vec, advances)
+            if done == _HALTED:
+                halted, ran = True, ran - 1
+                break
+            counts[vec[0]] += 1
+            if done:  # the root advanced
+                if done == _EMITTED:
+                    emissions += 1
+                if vec == saved:
+                    laps = (ticks - ran) // (ran - then[0])
+                    emissions += laps * (emissions - then[1])
+                    counts = [c + laps * (c - c0) for c, c0 in zip(counts, then[2])]
+                    ran += laps * (ran - then[0])
+                    saved, save_at = None, math.inf  # what is left is shorter than a lap
+                    break
+                if ran >= save_at:
+                    saved, then = vec[:], (ran, emissions, counts[:])
+                    save_at = 2 * ran
+        if halted:
             break
-        ran += 1
-        counts[vec[0]] += 1
-        if done == _EMITTED:
-            emissions += 1
     return SimulationReport(
         ticks, ran, tuple(zip(node.machine.states, counts)), emissions, halted
     )

@@ -314,6 +314,13 @@ class ParseItem:
                 cursor = child.end
             if cursor != self.end:
                 raise ValueError("children must cover the span exactly")
+        # The chart looks items up by hash; the children's hashes are cached
+        # already, so an item hashes in time linear in its own fields only.
+        fields = (self.start, self.end, self.category, self.senses, self.children)
+        object.__setattr__(self, "_hash", hash(fields + (self.lemma, self.features)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def span(self) -> tuple[int, int]:

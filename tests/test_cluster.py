@@ -184,6 +184,38 @@ class TestTick:
         # 19th advance and every 20th after it.
         assert report.emissions == (20 + 333_320 - 19) // 20 + 1
 
+    @pytest.mark.parametrize("ticks", [2.5, True])
+    def test_ticks_must_be_an_integer(self, ticks):
+        with pytest.raises(InputDomainError, match=f"ticks must be an integer, got {ticks!r}"):
+            simulate(wheels_within_wheels(), ticks)
+
+    def test_largest_admitted_run_of_a_union_wheel_tree_is_exact(self):
+        # three levels, all union: every tick steps all 5 nodes
+        middle = ClusterNode(
+            wheel(3), 1, (("a", ClusterNode.leaf(wheel(4))), ("c", ClusterNode.leaf(wheel(7)))), "union"
+        )
+        node = ClusterNode(
+            wheel(5), 2, (("b", middle), ("d", ClusterNode.leaf(wheel(9)))), "union"
+        )
+        ticks = SIMULATE_WORK_LIMIT // 5
+        with pytest.raises(BudgetError, match=f"work limit {SIMULATE_WORK_LIMIT}"):
+            simulate(node, ticks + 1)
+        period = cycle_length(node).base_ticks
+        laps, rest = divmod(ticks, period)
+        assert laps > 1000 and rest  # both a lap jump and a remainder count
+        started = time.perf_counter()
+        report = simulate(node, ticks)
+        assert time.perf_counter() - started < 1
+        # the start of a union wheel tree lies on its cycle, so the run is
+        # whole laps from the start, then the first ``rest`` ticks again
+        lap = cluster_reference.simulate(node, period)
+        tail = cluster_reference.simulate(node, rest)
+        assert report.ticks_run == ticks and not report.halted
+        assert report.emissions == laps * lap.emissions + tail.emissions
+        assert report.state_counts == tuple(
+            (state, laps * n + m) for (state, n), (_, m) in zip(lap.state_counts, tail.state_counts)
+        )
+
     def test_union_is_charged_every_node(self):
         node = wheels_within_wheels(inner=(3,) * 20)  # 21 nodes, all stepping
         with pytest.raises(BudgetError, match=f"work limit {SIMULATE_WORK_LIMIT}"):

@@ -4,7 +4,9 @@ Random cluster trees of depth 1-3 under all three tick policies, built from
 wheels, chains (partial machines), lazy wheels (nondeterministic) and a
 binary machine, must give the same simulation reports, unfolded machines,
 classifications and tick-by-tick states as ``cluster_reference``, and raise
-the same errors on the same tick.
+the same errors on the same tick.  Larger machines with sparse emitting
+sets, run for thousands of ticks, give ``simulate`` long quiet stretches to
+skip and whole laps to count.
 """
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,8 +27,8 @@ from cmoore.cluster import (
     unfold,
 )
 from cmoore.errors import BudgetError, DomainError
-from cmoore.machine import Automaton
-from cmoore.menagerie import chain, state_names, synapse, wheel
+from cmoore.machine import SILENT, Automaton
+from cmoore.menagerie import annotate_outputs, chain, state_names, synapse, wheel
 
 # Examples tick hundreds to thousands of times through the slow reference.
 settings.register_profile(
@@ -36,6 +38,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 DIFFERENTIAL = settings.get_profile("cluster-differential")
+# Runs of 1,000-4,000 ticks; the profile above serves the shorter runs.
+settings.register_profile(
+    "cluster-long-run",
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+LONG_RUN = settings.get_profile("cluster-long-run")
 
 UNFOLD_LIMIT = 2000  # configurations; keeps the reference unfold quick
 
@@ -56,14 +66,33 @@ def machines(draw):
 
 
 @st.composite
-def trees(draw, depth=3):
-    machine = draw(machines())
+def sparse_machines(draw):
+    """Up to 30 states; a wheel or chain emits on any drawn set of states,
+    none included.  Wheels come most often: the other kinds halt or raise
+    and end the run."""
+    kind = draw(st.sampled_from(("wheel",) * 4 + ("chain", "looped-chain", "lazy-wheel", "binary")))
+    size = draw(st.integers(1, 30))
+    if kind == "binary":
+        return synapse()
+    if kind == "lazy-wheel":
+        return wheel(size, loops=(draw(st.sampled_from(state_names(size))),))
+    if kind == "looped-chain":
+        machine = chain(size, loops=(state_names(size)[-1],))
+    else:
+        machine = (wheel if kind == "wheel" else chain)(size)
+    emitting = draw(st.sets(st.sampled_from(machine.states)))
+    return annotate_outputs(machine, {q: "1" if q in emitting else SILENT for q in machine.states})
+
+
+@st.composite
+def trees(draw, depth=3, kinds=machines):
+    machine = draw(kinds())
     if depth == 1 or draw(st.booleans()):
         return ClusterNode.leaf(machine)
     states = draw(
         st.lists(st.sampled_from(machine.states), min_size=1, max_size=3, unique=True)
     )
-    inner = tuple((state, draw(trees(depth - 1))) for state in states)
+    inner = tuple((state, draw(trees(depth - 1, kinds))) for state in states)
     scale = 1 + max(child.scale for _, child in inner)
     return ClusterNode(machine, scale, inner, draw(st.sampled_from(TICK_POLICIES)))
 
@@ -92,6 +121,12 @@ def tick_sequence(step, node, ticks):
 @DIFFERENTIAL
 @given(trees(), st.integers(0, 300))
 def test_simulate_matches_reference(node, ticks):
+    assert outcome(simulate, node, ticks) == outcome(ref.simulate, node, ticks)
+
+
+@LONG_RUN
+@given(trees(kinds=sparse_machines), st.integers(1000, 4000))
+def test_simulate_skips_and_laps_like_the_reference(node, ticks):
     assert outcome(simulate, node, ticks) == outcome(ref.simulate, node, ticks)
 
 
