@@ -106,7 +106,9 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     if (n + edges) * steps > OCCUPANCY_WORK_LIMIT:
         raise BudgetError(
             f"{automaton.name}: {steps} steps over {n} states and {edges} edges"
-            f" would exceed the work limit {OCCUPANCY_WORK_LIMIT}"
+            f" would exceed the work limit {OCCUPANCY_WORK_LIMIT}",
+            used=(n + edges) * steps,
+            limit=OCCUPANCY_WORK_LIMIT,
         )
     start = automaton._state_index[automaton.initial]
     exact = steps <= EXACT_PATH_LIMIT
@@ -255,7 +257,9 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
         if work > OCCUPANCY_WORK_LIMIT:
             raise BudgetError(
                 f"{automaton.name}: Gauss-Seidel sweeps did not reach residual"
-                f" {STATIONARY_RESIDUAL} within the work limit {OCCUPANCY_WORK_LIMIT}"
+                f" {STATIONARY_RESIDUAL} within the work limit {OCCUPANCY_WORK_LIMIT}",
+                used=work,
+                limit=OCCUPANCY_WORK_LIMIT,
             )
         for j, preds in enumerate(inflow):
             x[j] = sum(map(x.__getitem__, preds)) / moves[j]
@@ -473,7 +477,9 @@ def _greedy_merge(automaton):
         work += units
         if work > SYNC_WORK_LIMIT:
             raise BudgetError(
-                f"{automaton.name}: greedy pair merging exceeded the work limit {SYNC_WORK_LIMIT}"
+                f"{automaton.name}: greedy pair merging exceeded the work limit {SYNC_WORK_LIMIT}",
+                used=work,
+                limit=SYNC_WORK_LIMIT,
             )
 
     while len(image) > 1:
@@ -543,5 +549,9 @@ def _subset_search(automaton, budget):
                 parents[image] = subset * len(letters) + a
                 queue.append(image)
                 if len(parents) > budget:
-                    raise BudgetError(f"{automaton.name}: subset search exceeded {budget} subsets")
+                    raise BudgetError(
+                        f"{automaton.name}: subset search exceeded {budget} subsets",
+                        used=len(parents),
+                        limit=budget,
+                    )
 

@@ -509,8 +509,22 @@ def dispatch(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}))
+        print(json.dumps(failure_line(exc)))
         return 1
+
+
+def failure_line(exc: DomainError) -> dict:
+    """The JSON line for a domain error; a budget error adds ``used`` and
+    ``limit`` when it has them.  An integer of over 4,000 digits (near the
+    interpreter's int-to-str limit) is given as text, by its leading digits."""
+    line = {"error": exc.code, "message": str(exc)}
+    for key in ("used", "limit"):
+        value = getattr(exc, key, None)
+        if value is None:
+            continue
+        digits = cluster.digit_count(value)
+        line[key] = value if digits <= 4000 else f"{cluster.leading_digits(value)}...e{digits - 1}"
+    return line
 
 
 def main() -> int:

@@ -10,8 +10,9 @@ The module also houses return times of union trees of wheels, read from
 the compiled tables: one preorder pass checks each node's shape, then one
 summary per node (its period, its emission instants over one period and
 the periods of the subtrees below it that never emit) is built children
-first.  It also houses the temporal-structure classifier, and output
-bisimulation via worklist partition refinement.
+first; ``unfold`` reads such a tree's configurations off its period, one
+column of states per node.  It also houses the temporal-structure
+classifier, and output bisimulation via worklist partition refinement.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from typing import Mapping, Sequence
 
 from . import menagerie
@@ -162,7 +163,11 @@ class ClusterState:
     children: tuple[tuple[str, "ClusterState"], ...] = ()
 
     def child(self, state: str) -> "ClusterState":
-        return dict(self.children)[state]
+        for name, child in self.children:
+            if name == state:
+                return child
+        known = [name for name, _ in self.children]
+        raise InputDomainError(f"{self.current}: no child at {state!r}; the children are {known!r}")
 
     def render(self) -> str:
         if not self.children:
@@ -379,14 +384,6 @@ class _CompiledCluster:
                 walks.append(walk)
         return walks
 
-    def render(self, vec, i: int = 0) -> str:
-        """The nested configuration name, as ``ClusterState.render`` gives it."""
-        name = self.machines[i].states[vec[i]]
-        if not self.inner[i]:
-            return name
-        inside = ",".join(f"{s}={self.render(vec, child)}" for s, child in self.inner[i])
-        return f"{name}[{inside}]"
-
     def load(self, state: ClusterState) -> tuple[list[int], list[int]]:
         """A ``ClusterState`` as a configuration plus per-node tick counts."""
         vec: list[int] = []
@@ -434,7 +431,42 @@ class _CompiledCluster:
                 return list(seen), back
             seen[key] = len(seen)
             if len(seen) > budget:
-                raise BudgetError(f"unfolding exceeded {budget} configurations")
+                raise BudgetError(
+                    f"unfolding exceeded {budget} configurations", used=len(seen), limit=budget
+                )
+
+    def columns(self, period: int) -> list[list[str]]:
+        """Per node, its state name on each of the ``period`` ticks from the
+        start, for a union wheel tree that returns after ``period`` ticks.
+
+        Children come first.  A leaf turns its wheel on every tick.  A union
+        node steps on the ticks at which a child emits, so it stands on its
+        wheel at the running count of those ticks, and it emits on a tick
+        that steps it onto an emitting state.  A node's emission ticks are
+        one byte per tick, read as an integer, so the union of its
+        children's is an integer ``or``.
+        """
+        columns: list = [None] * len(self.succ)
+        fired: list = [None] * len(self.succ)
+        for i in reversed(range(len(self.succ))):  # preorder: children come later
+            succ, emits, states = self.succ[i], self.emits[i], self.machines[i].states
+            walk = [self.start[i]]
+            for _ in range(len(succ) - 1):
+                walk.append(succ[walk[-1]])
+            turns = period // len(walk) + 1  # a count never reaches period
+            names = [states[q] for q in walk] * turns
+            marks = bytes([emits[q] for q in walk]) * turns
+            if not self.driven[i]:
+                columns[i] = names[:period]
+                fired[i] = int.from_bytes(b"\x00" + marks[1:period], "big")  # no tick at 0
+                continue
+            stepped = 0
+            for child in self.driven[i]:
+                stepped |= fired[child]
+            counts = list(accumulate(stepped.to_bytes(period, "big")))
+            columns[i] = list(map(names.__getitem__, counts))
+            fired[i] = stepped & int.from_bytes(bytes(map(marks.__getitem__, counts)), "big")
+        return columns
 
 
 def tick(state: ClusterState, node: ClusterNode) -> tuple[ClusterState, TickResult]:
@@ -514,7 +546,9 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     if ticks * cost[0] > SIMULATE_WORK_LIMIT:
         raise BudgetError(
             f"{node.machine.name}: {ticks} ticks of {cost[0]} node steps each"
-            f" would exceed the work limit {SIMULATE_WORK_LIMIT}"
+            f" would exceed the work limit {SIMULATE_WORK_LIMIT}",
+            used=ticks * cost[0],
+            limit=SIMULATE_WORK_LIMIT,
         )
     step = compiled.step
     vec = list(compiled.start)
@@ -659,7 +693,9 @@ class _Period:
             else:
                 raise BudgetError(
                     "child periods are not pairwise coprime and their lcm "
-                    f"({digit_count(window)} digits) exceeds the window limit {limit}"
+                    f"({digit_count(window)} digits) exceeds the window limit {limit}",
+                    used=window,
+                    limit=limit,
                 )
         common = math.gcd(advances, size)
         self.core = window * size // common
@@ -999,25 +1035,55 @@ def product(
 def unfold(node: ClusterNode, budget: int = UNFOLD_BUDGET, name: str | None = None) -> Automaton:
     """Expand a cluster's reachable configurations into a unary machine.
 
-    Each configuration becomes a state (named by its nested rendering) whose
-    Moore output is the outer machine's output there; a halted configuration
-    simply has no outgoing edge.
+    Each configuration becomes a state (named by its nested rendering, as
+    ``ClusterState.render`` gives it) whose Moore output is the outer
+    machine's output there; a halted configuration simply has no outgoing
+    edge.  More than ``budget`` configurations raise ``BudgetError``.
+
+    A union tree of wheels returns to its start after ``cycle_length``
+    ticks, so its configurations are one cycle of that length: it is
+    refused up front when that is over the budget, and otherwise each
+    node's states are read off its period (``_CompiledCluster.columns``)
+    without stepping a tick.  Every other tree, and one whose period
+    ``cycle_length`` refuses, is stepped tick by tick along its lasso.
     """
     compiled = node._compiled
-    configurations, back = compiled.lasso(budget)
-    labels = [compiled.render(key) for key in configurations]
-    outputs = node.machine.output_map
-    states = node.machine.states
-    edges = [(source, "e", target) for source, target in zip(labels, labels[1:])]
+    try:
+        period = cycle_length(node).base_ticks
+    except (UnsupportedStructureError, BudgetError):
+        configurations, back = compiled.lasso(budget)
+        columns = [
+            list(map(machine.states.__getitem__, column))
+            for machine, column in zip(compiled.machines, zip(*configurations))
+        ]
+    else:
+        # the lasso counts configurations past the start, so one always fits
+        if period > max(budget, 1):
+            raise BudgetError(
+                f"unfolding exceeded {budget} configurations", used=period, limit=budget
+            )
+        columns, back = compiled.columns(period), 0
+
+    def template(i: int) -> str:
+        """``ClusterState.render`` with a ``{}`` in place of each node's state."""
+        inside = ",".join(
+            s.replace("{", "{{").replace("}", "}}") + "=" + template(child)
+            for s, child in compiled.inner[i]
+        )
+        return f"{{}}[{inside}]" if inside else "{}"
+
+    labels = list(map(template(0).format, *columns))
+    outputs = list(map(node.machine.output_map.__getitem__, columns[0]))
+    edges = list(zip(labels, repeat("e"), labels[1:]))
     if back is not None:
         edges.append((labels[-1], "e", labels[back]))
-    return Automaton.make(
+    return Automaton(
         name or f"unfold({node.machine.name})",
-        labels,
+        tuple(labels),
         ("e",),
         labels[0],
-        {label: outputs[states[key[0]]] for label, key in zip(labels, configurations)},
-        edges,
+        tuple(compress(zip(labels, outputs), outputs)),  # SILENT is the one falsy output
+        tuple(edges),
     )
 
 

@@ -50,9 +50,18 @@ class InfeasibleError(DomainError):
 
 
 class BudgetError(DomainError):
-    """A search or simulation exceeded its configured budget."""
+    """A search or simulation exceeded its configured budget.
+
+    ``used`` is the count that passed the budget when it was refused and
+    ``limit`` the budget it passed; either is None when not given.
+    """
 
     code = "budget"
+
+    def __init__(self, message, used=None, limit=None):
+        super().__init__(message)
+        self.used = used
+        self.limit = limit
 
 
 class UnsupportedStructureError(DomainError):

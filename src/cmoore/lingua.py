@@ -434,7 +434,9 @@ def parse(
                     if pushed > PARSE_ITEM_LIMIT:
                         raise BudgetError(
                             f"parsing {len(words)} words pushed more than"
-                            f" {PARSE_ITEM_LIMIT} items onto the agenda"
+                            f" {PARSE_ITEM_LIMIT} items onto the agenda",
+                            used=pushed,
+                            limit=PARSE_ITEM_LIMIT,
                         )
     ordered_chart = tuple(sorted(chart, key=_sort_key))
     phrases = [item for item in ordered_chart if item.children]

@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 from cmoore.analysis import (
+    OCCUPANCY_WORK_LIMIT,
     FiniteDistribution,
     approximate_distribution,
     monte_carlo_occupancy,
@@ -261,9 +262,10 @@ class TestStationaryDistribution:
             edges += [(names[i], "e", names[j]) for j in sorted(targets)]
         m = Automaton.make("diffusive", names, ["e"], names[0], edges=edges)
         started = time.perf_counter()
-        with pytest.raises(BudgetError, match="work limit"):
+        with pytest.raises(BudgetError, match="work limit") as info:
             stationary_distribution(m)
         assert time.perf_counter() - started < 10.0
+        assert info.value.used > info.value.limit == OCCUPANCY_WORK_LIMIT
 
 
 class TestMonteCarlo:
@@ -433,6 +435,11 @@ class TestSynchronizingWord:
         with pytest.raises(BudgetError, match="^cerny-20: subset search exceeded 1000000 subsets$"):
             synchronizing_word(cerny(20))
         assert time.perf_counter() - started < 5.0
+
+    def test_subset_budget_error_carries_the_count(self):
+        with pytest.raises(BudgetError, match="subset search exceeded 10 subsets") as info:
+            synchronizing_word(cerny(8), budget=10)
+        assert (info.value.used, info.value.limit) == (11, 10)
 
 
 class TestGreedySynchronization:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cmoore.analysis import OCCUPANCY_WORK_LIMIT, SYNC_WORK_LIMIT
 from cmoore.cli import dispatch
-from cmoore.cluster import SIMULATE_WORK_LIMIT, node_to_json
+from cmoore.cluster import CYCLE_WINDOW_LIMIT, SIMULATE_WORK_LIMIT, node_to_json
 from cmoore.errors import InputDomainError
 from cmoore.lingua import PARSE_ITEM_LIMIT
 from cmoore.machine import from_json, to_doc, to_json
@@ -47,6 +48,8 @@ class TestOccupancy:
         payload = json.loads(line)
         assert payload["error"] == "budget"
         assert "work limit" in payload["message"]
+        assert payload["used"] == (10_000 + 10_000) * 100_000
+        assert payload["limit"] == OCCUPANCY_WORK_LIMIT
 
     def test_mc_json_requires_seed(self, capsys):
         code, _ = run_cli(
@@ -171,6 +174,21 @@ class TestCycleLength:
         assert code == 0
         assert json.loads(out) == {"base_ticks": 369628, "digits": 6, "verified": True}
 
+    def test_a_window_of_thousands_of_digits_is_one_json_line(self, capsys):
+        # one size shares factors with the others, so the 4,349-digit lcm is
+        # refused; past the int-to-str limit ``used`` is given by its leading digits
+        sizes = "1229:" + ",".join(
+            str(s) for s in __import__("cmoore").max_prime_power_sizes(10_000)
+        ) + ",6"
+        code, out = run_cli(capsys, "cycle-length", "--sizes", sizes, "--format", "json")
+        assert code == 1
+        (line,) = out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "budget"
+        assert "(4349 digits)" in payload["message"]
+        assert payload["used"].endswith("...e4348")
+        assert payload["limit"] == CYCLE_WINDOW_LIMIT
+
     def test_astronomical_descriptor(self, capsys):
         sizes = "1229:" + ",".join(
             str(s) for s in __import__("cmoore").max_prime_power_sizes(10_000)
@@ -228,6 +246,7 @@ class TestOtherCommands:
         payload = json.loads(line)
         assert payload["error"] == "budget"
         assert "work limit" in payload["message"]
+        assert payload["used"] > payload["limit"] == SYNC_WORK_LIMIT
 
     def test_bisim(self, capsys):
         code, out = run_cli(capsys, "bisim", "--machine", "wheel:4", "--other", "wheel:2")
@@ -273,6 +292,8 @@ class TestOtherCommands:
         payload = json.loads(line)
         assert payload["error"] == "budget"
         assert f"work limit {SIMULATE_WORK_LIMIT}" in payload["message"]
+        assert payload["used"] == 10**9 * 2  # an outer wheel and one leaf per tick
+        assert payload["limit"] == SIMULATE_WORK_LIMIT
 
     def test_export_dot(self, capsys, tmp_path):
         out_path = tmp_path / "wheel.dot"
@@ -396,6 +417,7 @@ def test_ambiguous_parse_over_the_item_limit_is_one_json_line(capsys, tmp_path):
     payload = json.loads(line)
     assert payload["error"] == "budget"
     assert f"more than {PARSE_ITEM_LIMIT} items" in payload["message"]
+    assert (payload["used"], payload["limit"]) == (PARSE_ITEM_LIMIT + 1, PARSE_ITEM_LIMIT)
 
 
 def test_parse_with_grammar_file(capsys, tmp_path):

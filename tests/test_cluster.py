@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 import cluster_reference
+from cmoore import cluster
 from cmoore.cluster import (
     SIMULATE_WORK_LIMIT,
     ClusterNode,
@@ -269,6 +270,12 @@ class TestTick:
             state, _ = tick(state, node)
         # the wheel inside "b" has been running the whole time, not resetting
         assert state.child("b").ticks == 4
+
+    def test_child_of_an_unknown_state_names_the_children(self):
+        state = initial_state(product(wheel(2), wheel(3)))
+        known = r"no child at 'zz'; the children are \['a', 'b'\]"
+        with pytest.raises(InputDomainError, match=known):
+            state.child("zz")
 
     def test_halted_component_halts_the_cluster(self):
         node = ClusterNode(
@@ -644,6 +651,37 @@ class TestUnfoldAndSerialization:
     def test_unfold_budget(self):
         with pytest.raises(BudgetError):
             unfold(product(wheel(7), wheel(11)), budget=10)
+
+    def test_one_configuration_fits_any_budget(self):
+        # the lasso never counts the start, so a one-tick period needs none
+        node = ClusterNode.leaf(wheel(1))
+        assert unfold(node, budget=0) == cluster_reference.unfold(node, budget=0)
+        assert len(unfold(node, budget=0).states) == 1
+
+    def test_a_long_period_is_refused_up_front(self):
+        node = product(wheel(997), wheel(1009))  # a period of 2 * 997 * 1009
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="unfolding exceeded 100000 configurations") as info:
+            unfold(node)
+        assert time.perf_counter() - started < 0.05
+        assert (info.value.used, info.value.limit) == (2 * 997 * 1009, 100_000)
+
+    def test_the_lasso_reports_the_configurations_it_reached(self):
+        node = product(chain(3, loops=("c",)), wheel(7))  # not a wheel tree
+        with pytest.raises(BudgetError) as info:
+            unfold(node, budget=5)
+        assert (info.value.used, info.value.limit) == (6, 5)
+
+    def test_a_period_past_the_window_limit_is_stepped(self, monkeypatch):
+        # emitting wheels of 4 and 6 recur together every 12 ticks, over a
+        # window limit of 10 and not coprime: cycle_length refuses, unfold steps
+        node = union_over(wheel(2), wheel(4), wheel(6))
+        monkeypatch.setattr(cluster, "CYCLE_WINDOW_LIMIT", 10)
+        with pytest.raises(BudgetError, match="window limit 10"):
+            cycle_length(node)
+        assert unfold(node, budget=12) == cluster_reference.unfold(node, budget=12)
+        with pytest.raises(BudgetError, match="unfolding exceeded 11 configurations"):
+            unfold(node, budget=11)
 
     def test_cluster_json_round_trip(self):
         node = wheels_within_wheels()

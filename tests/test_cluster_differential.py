@@ -4,12 +4,13 @@ Random cluster trees of depth 1-3 under all three tick policies, built from
 wheels, chains (partial machines), lazy wheels (nondeterministic) and a
 binary machine, must give the same simulation reports, unfolded machines,
 classifications and tick-by-tick states as ``cluster_reference``, and raise
-the same errors on the same tick.  Larger machines with sparse emitting
-sets, run for thousands of ticks, give ``simulate`` long quiet stretches to
-skip and whole laps to count.
+the same errors on the same tick.  Union wheel trees of depth 1-4, which
+``unfold`` reads off their period, must unfold to the same machines.
+Larger machines with sparse emitting sets, run for thousands of ticks, give
+``simulate`` long quiet stretches to skip and whole laps to count.
 """
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cluster_reference as ref
@@ -29,6 +30,7 @@ from cmoore.cluster import (
 from cmoore.errors import BudgetError, DomainError
 from cmoore.machine import SILENT, Automaton
 from cmoore.menagerie import annotate_outputs, chain, state_names, synapse, wheel
+from test_kernels_differential import union_wheel_trees
 
 # Examples tick hundreds to thousands of times through the slow reference.
 settings.register_profile(
@@ -146,6 +148,47 @@ def test_unfold_and_classify_match_reference(node, horizon):
     for h in (horizon, DEFAULT_HORIZON):
         want = outcome(ref.classify, expected[1], h) if expected[0] == "ok" else expected
         assert outcome(classify, node, h) == want
+
+
+def named_wheel(states, emitting) -> Automaton:
+    """A wheel through ``states`` in order, emitting on ``emitting``."""
+    return Automaton.make(
+        "named-wheel",
+        states,
+        ("e",),
+        states[0],
+        {q: "1" for q in emitting},
+        [(p, "e", q) for p, q in zip(states, states[1:] + states[:1])],
+    )
+
+
+# State names, inner ones included, that a template or the nesting syntax
+# could misread: braces, a percent sign, brackets, "=" and ",".
+ODD_NAMES = ClusterNode(
+    named_wheel(("{", "a=b,c]", "%d"), ("%d",)),
+    2,
+    (
+        ("{", ClusterNode.leaf(named_wheel(("{0}", "%s"), ("%s",)))),
+        (
+            "a=b,c]",
+            ClusterNode(
+                named_wheel(("}{", "[=}"), ("[=}",)),
+                1,
+                (("[=}", ClusterNode.leaf(named_wheel(("{}", ",", "%%"), ("%%",)))),),
+                "union",
+            ),
+        ),
+    ),
+    "union",
+)
+
+
+@DIFFERENTIAL
+@example(ODD_NAMES)
+@given(union_wheel_trees())
+def test_unfold_of_union_wheel_trees_matches_reference(node):
+    """Depth 1-4, any emitting sets: read off the period, not stepped."""
+    assert outcome(unfold, node, UNFOLD_LIMIT) == outcome(ref.unfold, node, UNFOLD_LIMIT)
 
 
 def unreachable_choice() -> Automaton:
