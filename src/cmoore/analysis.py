@@ -25,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from random import Random
 from typing import Sequence
 
@@ -56,18 +56,30 @@ class OccupancyVector:
     exact: bool
 
     def __post_init__(self):
-        total = sum(value for _, value in self.entries)
+        values = [value for _, value in self.entries]
         if self.exact:
-            if total != 1:
-                raise ValueError(f"exact occupancy must sum to 1, got {total}")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"occupancy must sum to 1 within 1e-12, got {total!r}")
+            if not _sums_to_one(values):
+                raise ValueError(f"exact occupancy must sum to 1, got {sum(values)}")
+        elif abs(sum(values) - 1.0) > 1e-12:
+            raise ValueError(f"occupancy must sum to 1 within 1e-12, got {sum(values)!r}")
 
     def as_dict(self) -> dict[str, Fraction | float]:
         return dict(self.entries)
 
     def __getitem__(self, state: str) -> Fraction | float:
         return self.as_dict()[state]
+
+
+def _sums_to_one(values: list) -> bool:
+    """Whether exact rationals sum to 1, decided on integers: over their least
+    common denominator L, the numerators scaled to L must sum to L."""
+    try:
+        denominators = list(map(attrgetter("denominator"), values))
+        numerators = list(map(attrgetter("numerator"), values))
+    except AttributeError:  # not rationals (floats, say): add them as they are
+        return sum(values) == 1
+    common = math.lcm(*denominators)
+    return sum(map(mul, numerators, map(common.__floordiv__, denominators))) == common
 
 
 def signal_occupancy(vector: OccupancyVector, automaton: Automaton) -> dict[str, Fraction | float]:

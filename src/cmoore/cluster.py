@@ -21,11 +21,22 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
+from json.encoder import encode_basestring
 from typing import Mapping, Sequence
 
 from . import menagerie
 from .errors import BudgetError, InputDomainError, UnsupportedStructureError
-from .machine import SILENT, Automaton, Constraints, Violation, from_doc, to_doc, validate
+from .machine import (
+    SILENT,
+    Automaton,
+    Constraints,
+    Violation,
+    _json_block,
+    _json_machine,
+    from_doc,
+    to_doc,
+    validate,
+)
 
 TICK_POLICIES = ("external", "union", "current-state")
 DEFAULT_HORIZON = 2**64
@@ -1121,7 +1132,28 @@ def node_from_doc(doc: Mapping) -> ClusterNode:
 
 
 def node_to_json(node: ClusterNode) -> str:
-    return json.dumps(node_to_doc(node), indent=2, ensure_ascii=False) + "\n"
+    """The JSON text of a cluster tree: exactly
+    ``json.dumps(node_to_doc(node), indent=2, ensure_ascii=False) + "\\n"``,
+    written by the machine layer's writer (``machine.to_json``)."""
+    return _json_node(node, "") + "\n"
+
+
+def _json_node(node: ClusterNode, pad: str) -> str:
+    """``node_to_json`` without its final newline, laid out for a value on a
+    line indented by ``pad``."""
+    p1 = pad + "  "
+    items = [
+        f'"machine": {_json_machine(node.machine, p1)}',
+        f'"scale": {json.dumps(node.scale)}',
+        f'"tick_policy": {encode_basestring(node.tick_policy)}',
+    ]
+    if node.inner:
+        inner = [
+            f"{encode_basestring(state)}: {_json_node(child, p1 + '  ')}"
+            for state, child in node.inner
+        ]
+        items.append(f'"inner": {_json_block("{}", inner, p1)}')
+    return _json_block("{}", items, pad)
 
 
 def node_from_json(text: str) -> ClusterNode:

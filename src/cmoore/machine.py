@@ -14,6 +14,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Mapping
 
@@ -71,14 +74,14 @@ class Automaton:
     def __post_init__(self):
         if not self.states:
             raise ValueError("a machine needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        known = set(self.states)
+        if len(known) != len(self.states):
             raise ValueError("duplicate state identifiers")
         if not self.inputs:
             raise ValueError("the input alphabet needs at least one symbol")
-        if len(set(self.inputs)) != len(self.inputs):
-            raise ValueError("duplicate input symbols")
-        known = set(self.states)
         symbols = set(self.inputs)
+        if len(symbols) != len(self.inputs):
+            raise ValueError("duplicate input symbols")
         if self.initial not in known:
             raise ValueError(f"initial state {self.initial!r} is not a state")
         for state, _ in self.outputs:
@@ -86,6 +89,7 @@ class Automaton:
                 raise ValueError(f"output attached to unknown state {state!r}")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
+        # unpacking checks each edge's arity too
         for src, sym, dst in self.edges:
             if src not in known or dst not in known:
                 raise ValueError(f"edge {(src, sym, dst)!r} touches an unknown state")
@@ -104,13 +108,14 @@ class Automaton:
     ) -> "Automaton":
         """Build a machine, normalizing outputs into state order."""
         states = tuple(states)
-        order = {q: i for i, q in enumerate(states)}
+        known = set(states)
         out_map = dict(outputs or {})
         for state in out_map:
-            if state not in order:
+            if state not in known:
                 raise ValueError(f"output attached to unknown state {state!r}")
         normalized = tuple(
-            (q, out_map[q]) for q in states if out_map.get(q, SILENT) != SILENT
+            (q, out_map[q]) for q in filter(out_map.__contains__, states)
+            if out_map[q] != SILENT
         )
         return cls(
             name=name,
@@ -118,7 +123,7 @@ class Automaton:
             inputs=tuple(inputs),
             initial=initial,
             outputs=normalized,
-            edges=tuple((src, sym, dst) for src, sym, dst in edges),
+            edges=tuple(map(tuple, edges)),
         )
 
     def __repr__(self):
@@ -244,8 +249,8 @@ def validate(automaton: Automaton, constraints: Constraints | None = None) -> li
                 f"{len(automaton.output_alphabet)} symbols exceed {c.max_alphabet}",
             )
         )
-    out_deg = Counter(src for src, _, _ in automaton.edges)
-    in_deg = Counter(dst for _, _, dst in automaton.edges)
+    out_deg = Counter(map(itemgetter(0), automaton.edges))
+    in_deg = Counter(map(itemgetter(2), automaton.edges))
     for q in automaton.states:
         if out_deg[q] >= c.max_out_degree:
             report.append(Violation("od", q, f"out-degree {out_deg[q]} >= {c.max_out_degree}"))
@@ -365,7 +370,10 @@ def from_doc(doc: Mapping) -> Automaton:
 
 
 def to_json(automaton: Automaton) -> str:
-    return json.dumps(to_doc(automaton), indent=2, ensure_ascii=False) + "\n"
+    """The CMA-JSON text of a machine: exactly
+    ``json.dumps(to_doc(automaton), indent=2, ensure_ascii=False) + "\\n"``,
+    written without the pure-Python encoder that ``indent`` selects."""
+    return _json_machine(automaton, "") + "\n"
 
 
 def from_json(text: str) -> Automaton:
@@ -373,6 +381,39 @@ def from_json(text: str) -> Automaton:
         return from_doc(json.loads(text))
     except json.JSONDecodeError as exc:
         raise InputDomainError(f"malformed machine document: {exc}") from exc
+
+
+def _json_block(brackets: str, items: Iterable[str], pad: str) -> str:
+    """A JSON array (``brackets`` "[]") or object ("{}") whose items are
+    already written, laid out as ``json.dumps(indent=2)`` lays it out when the
+    line it opens on is indented by ``pad``."""
+    inner = pad + "  "
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
+
+
+def _json_machine(automaton: Automaton, pad: str) -> str:
+    """``to_json`` without its final newline, laid out for a value on a line
+    indented by ``pad``.  Names must be strings; each distinct one is encoded
+    once, by the C string encoder of ``json``."""
+    names = {automaton.name, *automaton.states, *automaton.inputs}
+    names.update(out for _, out in automaton.outputs)
+    quoted = dict(zip(names, map(encode_basestring, names)))
+    q = quoted.__getitem__
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    outputs = [f"{quoted[state]}: {quoted[out]}" for state, out in automaton.outputs]
+    edges = [
+        f"[\n{p3}{quoted[src]},\n{p3}{quoted[sym]},\n{p3}{quoted[dst]}\n{p2}]"
+        for src, sym, dst in automaton.edges
+    ]
+    return _json_block("{}", (
+        f'"name": {q(automaton.name)}',
+        f'"states": {_json_block("[]", map(q, automaton.states), p1)}',
+        f'"initial": {q(automaton.initial)}',
+        f'"inputs": {_json_block("[]", map(q, automaton.inputs), p1)}',
+        f'"outputs": {_json_block("{}", outputs, p1)}',
+        f'"edges": {_json_block("[]", edges, p1)}',
+    ), pad)
 
 
 def _text(value, what: str) -> str:
@@ -393,5 +434,9 @@ def _texts(value, what: str, size: int | None = None) -> tuple[str, ...]:
 def _rows(value, what: str, size: int) -> list[tuple[str, ...]]:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{what} must be a list, got {value!r}")
+    # the common case in bulk: every row a list of ``size`` strings
+    if ({list}.issuperset(map(type, value)) and {size}.issuperset(map(len, value))
+            and {str}.issuperset(map(type, chain.from_iterable(value)))):
+        return list(map(tuple, value))
     each = f"each of {what}"
     return [_texts(row, each, size) for row in value]

@@ -10,10 +10,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cmoore.analysis import (
     OCCUPANCY_WORK_LIMIT,
     FiniteDistribution,
+    OccupancyVector,
     approximate_distribution,
     monte_carlo_occupancy,
     path_count_occupancy,
@@ -88,6 +90,41 @@ def prop3_wheel():
     m = wheel(10)
     labels = {q: "1" if i < 5 else "2" if i < 8 else "3" for i, q in enumerate(m.states)}
     return annotate_outputs(m, labels)
+
+
+class TestOccupancyVector:
+    def test_exact_entries_over_mixed_denominators_sum_to_one(self):
+        entries = (("a", Fraction(1, 2)), ("b", Fraction(1, 3)), ("c", Fraction(1, 6)), ("d", 0))
+        assert OccupancyVector(entries, horizon=None, exact=True).as_dict()["c"] == Fraction(1, 6)
+
+    @pytest.mark.parametrize(
+        "values, total",
+        [((Fraction(1, 2), Fraction(1, 3)), "5/6"), ((), "0"), ((1, Fraction(1, 7)), "8/7")],
+    )
+    def test_an_exact_sum_off_one_is_refused_with_the_sum(self, values, total):
+        entries = tuple((f"s{i}", v) for i, v in enumerate(values))
+        with pytest.raises(ValueError) as info:
+            OccupancyVector(entries, horizon=None, exact=True)
+        assert str(info.value) == f"exact occupancy must sum to 1, got {total}"
+
+    @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=50), max_size=8))
+    def test_the_exact_check_agrees_with_a_fraction_sum(self, values):
+        if sum(values) != 1:  # complete the draw to a sum of 1
+            values = values + [1 - sum(values)]
+        entries = tuple((f"s{i}", v) for i, v in enumerate(values))
+        OccupancyVector(entries, horizon=None, exact=True)
+        with pytest.raises(ValueError):
+            OccupancyVector(entries + (("extra", Fraction(1, 97)),), horizon=None, exact=True)
+
+    def test_exact_entries_that_are_not_rationals_are_added_as_they_are(self):
+        OccupancyVector((("a", 0.5), ("b", 0.5)), horizon=None, exact=True)
+        with pytest.raises(ValueError, match="^exact occupancy must sum to 1, got 0.75$"):
+            OccupancyVector((("a", 0.5), ("b", 0.25)), horizon=None, exact=True)
+
+    def test_float_entries_keep_their_tolerance(self):
+        OccupancyVector((("a", 0.1), ("b", 0.2), ("c", 0.7)), horizon=None, exact=False)
+        with pytest.raises(ValueError, match="within 1e-12, got 0.9"):
+            OccupancyVector((("a", 0.4), ("b", 0.5)), horizon=None, exact=False)
 
 
 class TestPathCountOccupancy:

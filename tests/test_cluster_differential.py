@@ -8,7 +8,10 @@ the same errors on the same tick.  Union wheel trees of depth 1-4, which
 ``unfold`` reads off their period, must unfold to the same machines.
 Larger machines with sparse emitting sets, run for thousands of ticks, give
 ``simulate`` long quiet stretches to skip and whole laps to count.
+The same trees write the text that ``json.dumps(indent=2)`` writes.
 """
+import json
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,9 @@ from cmoore.cluster import (
     TickResult,
     classify,
     initial_state,
+    node_from_json,
+    node_to_doc,
+    node_to_json,
     product,
     simulate,
     tick,
@@ -181,6 +187,30 @@ ODD_NAMES = ClusterNode(
     ),
     "union",
 )
+
+
+# Names the JSON writer must escape: quotes, backslashes, control
+# characters, and non-ASCII left as it is.
+ESCAPED_NAMES = ClusterNode(
+    named_wheel(('"', "\\", "\x00\n"), ("\\",)),
+    1,
+    (
+        ('"', ClusterNode.leaf(named_wheel(("é", "\u2028"), ("é",)))),
+        ("\x00\n", ClusterNode.leaf(named_wheel(("\U0001d11e",), ()))),
+    ),
+    "current-state",
+)
+
+
+@DIFFERENTIAL
+@example(ODD_NAMES)
+@example(ESCAPED_NAMES)
+@given(trees())
+def test_node_text_is_that_of_json_dumps(node):
+    """Nested union, current-state and external trees of depth 1-3."""
+    text = node_to_json(node)
+    assert text == json.dumps(node_to_doc(node), indent=2, ensure_ascii=False) + "\n"
+    assert node_from_json(text) == node
 
 
 @DIFFERENTIAL

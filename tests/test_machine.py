@@ -1,12 +1,16 @@
 """Core Moore machine behavior: validation, stepping, runs, serialization."""
+import json
+from random import Random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cmoore.errors import InputDomainError
 from cmoore.machine import (
     Automaton,
     Constraints,
     FirstChooser,
+    Violation,
     RandomChooser,
     from_doc,
     from_json,
@@ -44,6 +48,43 @@ def looped_two_wheel():
     return wheel(2, loops=("a",))
 
 
+# Names the JSON writer must escape or pass through: quotes, backslashes,
+# control characters, non-ASCII (the astral plane and the line separators
+# included) and braces.
+ODD_NAMES = ('"', "\\", "a\"b\\c", "\x00", "\x1f", "\n\t\r\b\f", "\x7f", "é", "☃",
+             "\U0001d11e", "\u2028\u2029", "{}", "{0}", "}{", "", " ")
+NAMES = st.one_of(st.sampled_from(ODD_NAMES), st.text(max_size=4))
+
+
+@st.composite
+def named_machines(draw):
+    """1-5 states and 1-3 symbols named from ``NAMES``; any outputs and any
+    edges, none of either included."""
+    states = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    inputs = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    outputs = draw(st.dictionaries(st.sampled_from(states), NAMES))
+    triples = [(p, a, q) for p in states for a in inputs for q in states]
+    edges = draw(st.lists(st.sampled_from(triples), max_size=12, unique=True))
+    return Automaton.make(draw(NAMES), states, inputs, draw(st.sampled_from(states)),
+                          outputs, edges)
+
+
+def random_machine(size: int, seed: int) -> Automaton:
+    """Out-degree 1-3 on a random 1-3 letter alphabet, but 8 on about one
+    state in 100; in-degrees vary around the mean."""
+    rng = Random(seed)
+    symbols = ["x", "y", "z"][: rng.randint(1, 3)]
+    states = [f"m{i}" for i in range(size)]
+    edges = []
+    for q in states:
+        degree = 8 if rng.random() < 0.01 else rng.randint(1, 3)
+        mine = set()
+        while len(mine) < degree:
+            mine.add((q, rng.choice(symbols), rng.choice(states)))
+        edges += sorted(mine)
+    return Automaton.make("random", states, symbols, states[0], edges=edges)
+
+
 class TestConstruction:
     def test_initial_must_be_a_state(self):
         with pytest.raises(ValueError):
@@ -58,6 +99,69 @@ class TestConstruction:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError):
             Automaton.make("m", ["a"], ["e"], "a", edges=[("a", "e", "a"), ("a", "e", "a")])
+
+    def test_the_first_offending_edge_is_named(self):
+        edges = [("a", "e", "a"), ("a", "x", "a"), ("a", "e", "zz"), ("zz", "x", "a")]
+        with pytest.raises(ValueError) as info:
+            Automaton.make("m", ["a"], ["e"], "a", edges=edges)
+        assert str(info.value) == "edge ('a', 'x', 'a') uses an unknown symbol"
+        with pytest.raises(ValueError) as info:
+            Automaton.make("m", ["a"], ["e"], "a", edges=edges[:1] + edges[2:])
+        assert str(info.value) == "edge ('a', 'e', 'zz') touches an unknown state"
+
+    @pytest.mark.parametrize("edge", [("zz", "x", "a"), ("a", "x", "zz")])
+    def test_an_unknown_state_is_reported_before_an_unknown_symbol(self, edge):
+        with pytest.raises(ValueError) as info:
+            Automaton.make("m", ["a"], ["e"], "a", edges=[edge])
+        assert str(info.value) == f"edge {edge!r} touches an unknown state"
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            (("a", "e"), "not enough values to unpack (expected 3, got 2)"),
+            (("a", "e", "a", "a"), "too many values to unpack (expected 3)"),
+        ],
+    )
+    def test_an_edge_of_the_wrong_arity_is_rejected(self, edge, message):
+        with pytest.raises(ValueError) as info:
+            Automaton.make("m", ["a"], ["e"], "a", edges=[("a", "e", "a"), edge])
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            Automaton("m", ("a",), ("e",), "a", (), (("a", "e", "a"), edge))
+        assert str(info.value) == message
+
+    def test_duplicate_edges_are_reported_by_message(self):
+        edges = [("a", "e", "a"), ("a", "e", "b"), ("a", "e", "a")]
+        with pytest.raises(ValueError) as info:
+            Automaton.make("m", ["a", "b"], ["e"], "a", edges=edges)
+        assert str(info.value) == "duplicate edges"
+        # they are found before any edge is checked against the states
+        with pytest.raises(ValueError) as info:
+            Automaton.make("m", ["a"], ["e"], "a", edges=[("a", "e", "zz")] * 2)
+        assert str(info.value) == "duplicate edges"
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([["a", "e", "b"], ("b", 1, "a")], "('b', 1, 'a')"),
+            ([["a", "e", "b"], ["b", None, "a"], ["b", 2, "a"]], "['b', None, 'a']"),
+            ([["a", "e", "b"], ["b", "e"]], "['b', 'e']"),
+            ([["a", "e", "b", "a"], ["b", "e"]], "['a', 'e', 'b', 'a']"),
+            ([["a", "e", "b"], "bea"], "'bea'"),
+        ],
+        ids=["tuple-row", "non-string-cell", "short-row", "long-row", "string-row"],
+    )
+    def test_a_malformed_document_row_is_named(self, rows, named):
+        doc = {**TWO_WHEEL, "edges": rows}
+        with pytest.raises(InputDomainError) as info:
+            from_doc(doc)
+        assert str(info.value) == (
+            f"malformed machine document: each of edges must be a list of 3 strings, got {named}"
+        )
+
+    def test_a_tuple_row_reads_like_a_list(self):
+        doc = {**TWO_WHEEL, "edges": [("a", "e", "b"), ["b", "e", "a"]]}
+        assert from_doc(doc) == from_doc(TWO_WHEEL)
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +218,23 @@ class TestValidate:
         rules = {v.rule for v in validate(m)}
         assert "id" in rules  # in-degree 10^4 is already over the strict bound
         assert "ss" in rules  # 10_001 states
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_report_matches_a_per_state_count(self, seed):
+        machine = random_machine(3000, seed)
+        limits = Constraints(max_in_degree=7)
+        out_deg = {q: 0 for q in machine.states}
+        in_deg = {q: 0 for q in machine.states}
+        for src, _, dst in machine.edges:
+            out_deg[src] += 1
+            in_deg[dst] += 1
+        want = [Violation("od", q, f"out-degree {out_deg[q]} >= 8")
+                for q in machine.states if out_deg[q] >= 8]
+        want += [Violation("id", q, f"in-degree {in_deg[q]} >= 7")
+                 for q in machine.states if in_deg[q] >= 7]
+        assert validate(machine, limits) == want
+        assert sum(v.rule == "od" for v in want) > 10
+        assert sum(v.rule == "id" for v in want) > 0
 
     def test_custom_constraints(self):
         m = wheel(5)
@@ -228,6 +349,15 @@ class TestJsonRoundTrip:
         text = to_json(machine)
         again = to_json(from_json(text))
         assert text == again
+        assert from_json(text) == machine
+
+    @given(named_machines())
+    @example(Automaton.make("one", ["q"], ["e"], "q"))
+    @example(Automaton.make('"', ["\\"], ["\x00"], "\\", {"\\": "é"}))
+    @example(Automaton.make("{}", ["a", "b"], ["e"], "a", edges=[("a", "e", "b")]))
+    def test_text_is_that_of_json_dumps(self, machine):
+        text = to_json(machine)
+        assert text == json.dumps(to_doc(machine), indent=2, ensure_ascii=False) + "\n"
         assert from_json(text) == machine
 
     def test_malformed_document(self):
