@@ -13,8 +13,10 @@ For the looped 2-wheel the two disagree (golden-ratio 0.618... versus 2/3),
 and that contrast is part of the contract.  The stationary solver finds the
 reachable states and the closed classes in one depth-first pass.
 
-Both share one work limit, ``OCCUPANCY_WORK_LIMIT``, counted in state and
-edge visits: path counting visits every state and edge once per step, and a
+Path counting, the stationary solver and Monte Carlo share one work limit,
+``OCCUPANCY_WORK_LIMIT``, counted in state and edge visits.  Path counting
+visits every state and edge once per step, and each of its steps, like each
+Monte Carlo step, also costs ``_STEP_VISITS`` visits of fixed work.  A
 Gauss-Seidel sweep of the stationary solver counts six visits per state and
 edge of the closed class, as it costs about six times more.  Past the limit
 they raise ``BudgetError``, within a few seconds.
@@ -45,6 +47,10 @@ SUBSET_SEARCH_LIMIT = 20
 SYNC_WORK_LIMIT = 100_000_000
 STATIONARY_RESIDUAL = 1e-12
 OCCUPANCY_WORK_LIMIT = 50_000_000
+# The fixed cost of one step of path counting or Monte Carlo, in visits: a
+# path-count step over wheel:3 costs about as much as 24 visits of wheel:10000,
+# and a random step about half as much.
+_STEP_VISITS = 24
 
 
 @dataclass(frozen=True)
@@ -107,19 +113,21 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     Counts are exact big integers up to ``EXACT_PATH_LIMIT`` steps, where the
     result is a vector of exact rationals; beyond that the count vector is
     renormalized each step in floating point to dodge overflow of the
-    (typically exponential) path totals.  ``(states + edges) * steps`` over
-    ``OCCUPANCY_WORK_LIMIT`` raises ``BudgetError`` before counting starts.
+    (typically exponential) path totals.  ``(states + edges + _STEP_VISITS)
+    * steps`` over ``OCCUPANCY_WORK_LIMIT`` raises ``BudgetError`` before
+    counting starts.
     """
     if steps < 0:
         raise InputDomainError(f"steps must be >= 0, got {steps}")
     succ = _unary_table(automaton)
     n = len(automaton.states)
     edges = sum(map(len, succ))
-    if (n + edges) * steps > OCCUPANCY_WORK_LIMIT:
+    work = (n + edges + _STEP_VISITS) * steps
+    if work > OCCUPANCY_WORK_LIMIT:
         raise BudgetError(
             f"{automaton.name}: {steps} steps over {n} states and {edges} edges"
             f" would exceed the work limit {OCCUPANCY_WORK_LIMIT}",
-            used=(n + edges) * steps,
+            used=work,
             limit=OCCUPANCY_WORK_LIMIT,
         )
     start = automaton._state_index[automaton.initial]
@@ -289,10 +297,20 @@ def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> Occupa
 
     The initial state counts as an observation, so fractions are over
     ``steps + 1`` instants.  Identical seeds give identical vectors.
+    ``_STEP_VISITS * steps`` over ``OCCUPANCY_WORK_LIMIT`` raises
+    ``BudgetError`` before the run starts.
     """
     if steps < 1:
         raise InputDomainError(f"steps must be >= 1, got {steps}")
     succ = _unary_table(automaton)
+    work = _STEP_VISITS * steps
+    if work > OCCUPANCY_WORK_LIMIT:
+        raise BudgetError(
+            f"{automaton.name}: {steps} random steps would exceed the work limit"
+            f" {OCCUPANCY_WORK_LIMIT}",
+            used=work,
+            limit=OCCUPANCY_WORK_LIMIT,
+        )
     rng = Random(seed)
     counts = [0] * len(automaton.states)
     current = automaton._state_index[automaton.initial]

@@ -6,13 +6,16 @@ the leaves, and a node consumes a tick of its own whenever its driving inner
 machinery emits a non-silent output (several simultaneous emissions coalesce
 into one tick).  Inner machines never reset when the outer machine moves.
 
-The module also houses return times of union trees of wheels, read from
-the compiled tables: one preorder pass checks each node's shape, then one
-summary per node (its period, its emission instants over one period and
-the periods of the subtrees below it that never emit) is built children
-first; ``unfold`` reads such a tree's configurations off its period, one
-column of states per node.  It also houses the temporal-structure
-classifier, and output bisimulation via worklist partition refinement.
+Each node's run from its start is found once, when the tree is compiled,
+and every walk of a node reads it.  The module also houses return times of
+union trees of wheels: one preorder pass over the runs checks each node's
+shape, then one summary per node (its period, the ticks on which it
+advances over one window, and the periods of the subtrees below it that
+never emit) is built children first.  Only the summary decides when a
+union node advances; ``unfold`` reads such a tree's configurations off
+those marks, one column of states per node.  It also houses the
+temporal-structure classifier, and output bisimulation via worklist
+partition refinement.
 """
 from __future__ import annotations
 
@@ -236,6 +239,20 @@ _EXTERNAL, _UNION, _CURRENT_STATE = range(3)
 _HALTED, _IDLE, _ADVANCED, _EMITTED = -1, 0, 1, 2
 
 
+def _run(succ: list[int], start: int) -> tuple[list[int], list[int], int | None]:
+    """The distinct states on the run from ``start`` over the successor
+    table ``succ``, each state's position on it (-1 when off it), and the
+    position the last one steps back to (None when it meets a marker)."""
+    position = [-1] * len(succ)
+    states = []
+    q = start
+    while q >= 0 and position[q] < 0:
+        position[q] = len(states)
+        states.append(q)
+        q = succ[q]
+    return states, position, position[q] if q >= 0 else None
+
+
 class _Walk:
     """The run of leaf ``node`` from its start, for skipping quiet ticks.
 
@@ -247,15 +264,10 @@ class _Walk:
 
     __slots__ = ("node", "gap", "_states", "_position", "_back")
 
-    def __init__(self, node: int, succ: list[int], emits: list[bool], start: int):
-        position = [-1] * len(succ)
-        states = []
-        q = start
-        while q >= 0 and position[q] < 0:
-            position[q] = len(states)
-            states.append(q)
-            q = succ[q]
-        back = position[q] if q >= 0 else len(states)  # where the run turns, if it does
+    def __init__(self, node: int, succ: list[int], emits: list[bool], run: tuple):
+        states, position, back = run
+        if back is None:  # the run ends at a marker, so it never turns
+            back = len(states)
         unrolled = states + states[back:]  # the cycle once more
         gap = [math.inf] * len(succ)
         nxt = math.inf
@@ -290,12 +302,15 @@ class _CompiledCluster:
     Node 0 is the root.  A configuration is a ``list[int]`` holding the
     current state index of every node; ticking mutates it in place.  Per
     node the tables hold the successor of each state (or a marker), whether
-    each state emits, the tick policy, and the driven children: all of them
-    under the union policy, one slot per state (-1 when empty) under
-    current-state.
+    each state emits, the tick policy, the driven children (all of them
+    under the union policy, one slot per state, -1 when empty, under
+    current-state) and the run from the start (see ``_run``), which every
+    walk of a node reads.
     """
 
-    __slots__ = ("machines", "succ", "emits", "policy", "driven", "inner", "start", "walks")
+    __slots__ = (
+        "machines", "succ", "emits", "policy", "driven", "inner", "start", "runs", "walks"
+    )
 
     def __init__(self, root: ClusterNode):
         self.machines: list[Automaton] = []
@@ -305,6 +320,7 @@ class _CompiledCluster:
         self.driven: list[list[int]] = []
         self.inner: list[list[tuple[str, int]]] = []
         self.start: list[int] = []
+        self.runs: list[tuple] = []
         self.walks: dict[int, _Walk] = {}  # per leaf, built when simulate first runs it
         self._add(root)
 
@@ -316,6 +332,7 @@ class _CompiledCluster:
         self.succ.append(_successor_table(machine))
         self.emits.append([machine.output_map[q] != SILENT for q in machine.states])
         self.start.append(index[machine.initial])
+        self.runs.append(_run(self.succ[i], self.start[i]))
         self.policy.append(_EXTERNAL)
         self.driven.append([])
         self.inner.append([])
@@ -391,7 +408,7 @@ class _CompiledCluster:
             else:
                 walk = self.walks.get(i)
                 if walk is None:
-                    walk = self.walks[i] = _Walk(i, self.succ[i], self.emits[i], self.start[i])
+                    walk = self.walks[i] = _Walk(i, self.succ[i], self.emits[i], self.runs[i])
                 walks.append(walk)
         return walks
 
@@ -446,37 +463,22 @@ class _CompiledCluster:
                     f"unfolding exceeded {budget} configurations", used=len(seen), limit=budget
                 )
 
-    def columns(self, period: int) -> list[list[str]]:
+    def columns(self, periods: list["_Period"], period: int) -> list[list[str]]:
         """Per node, its state name on each of the ``period`` ticks from the
-        start, for a union wheel tree that returns after ``period`` ticks.
+        start, for a union wheel tree with the summaries ``periods`` (see
+        ``_periods``) that returns after ``period`` ticks.
 
-        Children come first.  A leaf turns its wheel on every tick.  A union
-        node steps on the ticks at which a child emits, so it stands on its
-        wheel at the running count of those ticks, and it emits on a tick
-        that steps it onto an emitting state.  A node's emission ticks are
-        one byte per tick, read as an integer, so the union of its
-        children's is an integer ``or``.
+        A node's summary marks its advance ticks over its window, and
+        ``period`` is a whole number of windows, so its count of advances
+        after t ticks is the sum of the first t marks repeated; it stands on
+        its wheel at that count from its start.
         """
-        columns: list = [None] * len(self.succ)
-        fired: list = [None] * len(self.succ)
-        for i in reversed(range(len(self.succ))):  # preorder: children come later
-            succ, emits, states = self.succ[i], self.emits[i], self.machines[i].states
-            walk = [self.start[i]]
-            for _ in range(len(succ) - 1):
-                walk.append(succ[walk[-1]])
-            turns = period // len(walk) + 1  # a count never reaches period
-            names = [states[q] for q in walk] * turns
-            marks = bytes([emits[q] for q in walk]) * turns
-            if not self.driven[i]:
-                columns[i] = names[:period]
-                fired[i] = int.from_bytes(b"\x00" + marks[1:period], "big")  # no tick at 0
-                continue
-            stepped = 0
-            for child in self.driven[i]:
-                stepped |= fired[child]
-            counts = list(accumulate(stepped.to_bytes(period, "big")))
-            columns[i] = list(map(names.__getitem__, counts))
-            fired[i] = stepped & int.from_bytes(bytes(map(marks.__getitem__, counts)), "big")
+        columns = []
+        for (states, _, _), machine, summary in zip(self.runs, self.machines, periods):
+            names = [machine.states[q] for q in states] * (period // len(states) + 1)
+            marks = summary._marks * (period // len(summary._marks))
+            counts = accumulate(marks[:-1], initial=0)  # a count never reaches period
+            columns.append(list(map(names.__getitem__, counts)))
         return columns
 
 
@@ -732,57 +734,40 @@ class _Period:
         ]
 
 
-def wheel_cluster_cycle(
-    outer_size: int, inner_sizes: Sequence[int], count_budget: int = CYCLE_WINDOW_LIMIT
-) -> int:
+def wheel_cluster_cycle(outer_size: int, inner_sizes: Sequence[int]) -> int:
     """Base ticks until an outer wheel with union-driven inner menagerie
     wheels returns to its initial configuration.
 
-    This is the union-node step of ``cycle_length`` on bare sizes, with
-    ``count_budget`` as the window limit.  A menagerie wheel emits once per
-    turn, on its last state; each is taken to emit at t = size instead, one
-    tick later for all of them, which leaves the advances per window as they
-    are.
+    This is the union-node step of ``cycle_length`` on bare sizes, with the
+    same window limit.  A menagerie wheel emits once per turn, on its last
+    state; each is taken to emit at t = size instead, one tick later for all
+    of them, which leaves the advances per window as they are.
     """
     if outer_size < 1 or any(size < 1 for size in inner_sizes):
         raise InputDomainError("wheel sizes must be >= 1")
-    leaves = [_Period(size, [size], [], count_budget) for size in inner_sizes]
-    return _Period(outer_size, [], leaves, count_budget).period
+    leaves = [_Period(size, [size], [], CYCLE_WINDOW_LIMIT) for size in inner_sizes]
+    return _Period(outer_size, [], leaves, CYCLE_WINDOW_LIMIT).period
 
 
-def cycle_length(node: ClusterNode) -> CycleLength:
-    """Exact return time of an all-wheel cluster, in base ticks.
+def _periods(compiled: _CompiledCluster, limit: int) -> list[_Period]:
+    """The summary of every node of a union wheel tree, by node, with
+    ``limit`` as the window limit (see ``_Period``).
 
-    Supported shapes: a single wheel, or a tree of wheels of any depth whose
-    nodes with inner wheels tick under the union policy.  One preorder pass
-    over the compiled tables checks each node and records the advances
-    after which it stands on an emitting state: a wheel first returns to
-    its start after exactly as many steps as it has states, with no marker
-    on the way.  Every shape is checked before any summary is built, so an
-    ``UnsupportedStructureError`` wins over ``BudgetError``.  The answer is
-    the period of the root's summary, built children first (see
-    ``_Period``); a wheel whose emitting children's cores recur together
-    only past ``CYCLE_WINDOW_LIMIT`` ticks, and are not pairwise coprime,
-    raises ``BudgetError``.  A tick of such a tree is a bijection on
-    configurations, so the start lies on a cycle, one period long.
+    A node is a wheel when its run from the start (``_CompiledCluster.runs``)
+    holds every state and turns back to the start, and a node with inner
+    wheels must tick under the union policy.  Every node is checked, in
+    preorder, before any summary is built, so an
+    ``UnsupportedStructureError`` wins over ``BudgetError``.
     """
-    compiled = node._compiled
     inside = {child: state for row in compiled.inner for state, child in row}
-    emitting: list[list[int]] = []
-    for i, succ in enumerate(compiled.succ):
-        start = q = compiled.start[i]
-        emitting.append([])
-        for r in range(1, len(succ) + 1):
-            q = succ[q]
-            if q < 0 or (q == start) != (r == len(succ)):
-                name = compiled.machines[i].name
-                raise UnsupportedStructureError(
-                    f"{name} (inside {inside[i]!r}) is not a pure wheel"
-                    if i
-                    else f"{name}: cycle length is defined for pure wheels only"
-                )
-            if compiled.emits[i][q]:
-                emitting[i].append(r)
+    for i, (states, _, back) in enumerate(compiled.runs):
+        if back != 0 or len(states) != len(compiled.succ[i]):
+            name = compiled.machines[i].name
+            raise UnsupportedStructureError(
+                f"{name} (inside {inside[i]!r}) is not a pure wheel"
+                if i
+                else f"{name}: cycle length is defined for pure wheels only"
+            )
         if compiled.inner[i] and compiled.policy[i] != _UNION:
             raise UnsupportedStructureError("cycle length assumes the union tick policy")
     # children before parents and the left subtree first, so that of two
@@ -791,11 +776,28 @@ def cycle_length(node: ClusterNode) -> CycleLength:
     while stack:
         order.append(stack.pop())
         stack += compiled.driven[order[-1]]
-    periods: list = [None] * len(emitting)
+    periods: list = [None] * len(compiled.runs)
     for i in reversed(order):
+        states, emits = compiled.runs[i][0], compiled.emits[i]
+        size = len(states)
+        emitting = [r for r in range(1, size + 1) if emits[states[r % size]]]
         children = [periods[child] for child in compiled.driven[i]]
-        periods[i] = _Period(len(compiled.succ[i]), emitting[i], children, CYCLE_WINDOW_LIMIT)
-    value = periods[0].period
+        periods[i] = _Period(size, emitting, children, limit)
+    return periods
+
+
+def cycle_length(node: ClusterNode) -> CycleLength:
+    """Exact return time of an all-wheel cluster, in base ticks.
+
+    Supported shapes: a single wheel, or a tree of wheels of any depth whose
+    nodes with inner wheels tick under the union policy.  The answer is the
+    period of the root's summary (see ``_periods``); a wheel whose emitting
+    children's cores recur together only past ``CYCLE_WINDOW_LIMIT`` ticks,
+    and are not pairwise coprime, raises ``BudgetError``.  A tick of such a
+    tree is a bijection on configurations, so the start lies on a cycle, one
+    period long.
+    """
+    value = _periods(node._compiled, CYCLE_WINDOW_LIMIT)[0].period
     return CycleLength(value, digit_count(value), True)
 
 
@@ -902,21 +904,14 @@ def _unary_walk(automaton: Automaton) -> tuple[int, int | None]:
         raise UnsupportedStructureError(
             f"{automaton.name}: classification needs a unary machine"
         )
-    succ = automaton._succ[0]
-    seen: dict[int, int] = {}
-    p = automaton._state_index[automaton.initial]
-    while p not in seen:
-        seen[p] = len(seen)
-        targets = succ[p]
-        if not targets:
-            return len(seen), None
-        if len(targets) > 1:
-            raise UnsupportedStructureError(
-                f"{automaton.name}: nondeterministic at {automaton.states[p]!r}; "
-                "classification needs determinism"
-            )
-        p = targets[0]
-    return len(seen), seen[p]
+    succ = _successor_table(automaton)
+    states, _, back = _run(succ, automaton._state_index[automaton.initial])
+    if back is None and succ[states[-1]] == _NONDETERMINISTIC:
+        raise UnsupportedStructureError(
+            f"{automaton.name}: nondeterministic at {automaton.states[states[-1]]!r}; "
+            "classification needs determinism"
+        )
+    return len(states), back
 
 
 def canonical_machine(temporal: TemporalClass) -> Automaton:
@@ -1043,7 +1038,7 @@ def product(
     )
 
 
-def unfold(node: ClusterNode, budget: int = UNFOLD_BUDGET, name: str | None = None) -> Automaton:
+def unfold(node: ClusterNode, budget: int = UNFOLD_BUDGET) -> Automaton:
     """Expand a cluster's reachable configurations into a unary machine.
 
     Each configuration becomes a state (named by its nested rendering, as
@@ -1051,16 +1046,19 @@ def unfold(node: ClusterNode, budget: int = UNFOLD_BUDGET, name: str | None = No
     machine's output there; a halted configuration simply has no outgoing
     edge.  More than ``budget`` configurations raise ``BudgetError``.
 
-    A union tree of wheels returns to its start after ``cycle_length``
-    ticks, so its configurations are one cycle of that length: it is
-    refused up front when that is over the budget, and otherwise each
-    node's states are read off its period (``_CompiledCluster.columns``)
-    without stepping a tick.  Every other tree, and one whose period
-    ``cycle_length`` refuses, is stepped tick by tick along its lasso.
+    A union tree of wheels returns to its start after its period, so its
+    configurations are one cycle of that length.  Its summaries are built
+    with the larger of ``budget`` and ``CYCLE_WINDOW_LIMIT`` as the window
+    limit, so every window within the budget is marked, and a window past
+    it gives a period past it.  Such a tree is refused up front when its
+    period is over the budget, and otherwise each node's states are read
+    off its marks (``_CompiledCluster.columns``) without stepping a tick.
+    Every other tree, and one whose summary is refused, is stepped tick by
+    tick along its lasso.
     """
     compiled = node._compiled
     try:
-        period = cycle_length(node).base_ticks
+        periods = _periods(compiled, max(budget, CYCLE_WINDOW_LIMIT))
     except (UnsupportedStructureError, BudgetError):
         configurations, back = compiled.lasso(budget)
         columns = [
@@ -1068,12 +1066,13 @@ def unfold(node: ClusterNode, budget: int = UNFOLD_BUDGET, name: str | None = No
             for machine, column in zip(compiled.machines, zip(*configurations))
         ]
     else:
+        period = periods[0].period
         # the lasso counts configurations past the start, so one always fits
         if period > max(budget, 1):
             raise BudgetError(
                 f"unfolding exceeded {budget} configurations", used=period, limit=budget
             )
-        columns, back = compiled.columns(period), 0
+        columns, back = compiled.columns(periods, period), 0
 
     def template(i: int) -> str:
         """``ClusterState.render`` with a ``{}`` in place of each node's state."""
@@ -1089,7 +1088,7 @@ def unfold(node: ClusterNode, budget: int = UNFOLD_BUDGET, name: str | None = No
     if back is not None:
         edges.append((labels[-1], "e", labels[back]))
     return Automaton(
-        name or f"unfold({node.machine.name})",
+        f"unfold({node.machine.name})",
         tuple(labels),
         ("e",),
         labels[0],

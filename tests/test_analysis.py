@@ -189,10 +189,14 @@ class TestPathCountOccupancy:
         assert vector[m.states[1000]] == 1.0
 
     def test_over_the_work_limit_raises_before_counting(self):
-        started = time.perf_counter()
-        with pytest.raises(BudgetError, match="work limit"):
-            path_count_occupancy(wheel(10_000), 100_000)
-        assert time.perf_counter() - started < 1.0
+        # wheel:3 at 8,333,333 steps visits 50,000,000 states and edges, within
+        # the limit, but every step also has a fixed cost: uncharged, it ran 12 s
+        for size, steps in ((10_000, 100_000), (3, 8_333_333)):
+            started = time.perf_counter()
+            with pytest.raises(BudgetError, match="work limit") as info:
+                path_count_occupancy(wheel(size), steps)
+            assert time.perf_counter() - started < 1.0
+            assert info.value.used == (2 * size + 24) * steps
 
 
 class TestStationaryDistribution:
@@ -328,6 +332,13 @@ class TestMonteCarlo:
             monte_carlo_occupancy(m, 10, seed=0)
         assert err.value.partial is not None
         assert err.value.partial["b"] == 0.5
+
+    def test_over_the_work_limit_raises_before_the_run(self):
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="work limit") as info:
+            monte_carlo_occupancy(wheel(3, loops=("a", "b", "c")), 10**9, seed=0)
+        assert time.perf_counter() - started < 1.0
+        assert (info.value.used, info.value.limit) == (24 * 10**9, OCCUPANCY_WORK_LIMIT)
 
     def test_doubling_steps_does_not_double_deviation(self):
         m = looped_two_wheel()

@@ -48,8 +48,21 @@ class TestOccupancy:
         payload = json.loads(line)
         assert payload["error"] == "budget"
         assert "work limit" in payload["message"]
-        assert payload["used"] == (10_000 + 10_000) * 100_000
+        assert payload["used"] == (10_000 + 10_000 + 24) * 100_000  # 24 visits a step
         assert payload["limit"] == OCCUPANCY_WORK_LIMIT
+
+    def test_mc_over_the_work_limit_is_one_json_line(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "occupancy", "--machine", "wheel:3,loops=a+b+c", "--mode", "mc",
+            "--steps", "1000000000", "--seed", "1",
+        )
+        assert code == 1
+        (line,) = out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "budget"
+        assert "work limit" in payload["message"]
+        assert (payload["used"], payload["limit"]) == (24 * 10**9, OCCUPANCY_WORK_LIMIT)
 
     def test_mc_json_requires_seed(self, capsys):
         code, _ = run_cli(

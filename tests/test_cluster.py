@@ -493,7 +493,7 @@ class TestCycleLength:
 
     def test_budget_error_for_huge_non_coprime_windows(self):
         with pytest.raises(BudgetError):
-            wheel_cluster_cycle(2, [2 * p for p in (3, 5, 7, 11, 13, 17, 19, 23)], count_budget=10_000)
+            wheel_cluster_cycle(2, [2 * p for p in (3, 5, 7, 11, 13, 17, 19, 23)])
 
 
 class TestClassify:
@@ -682,6 +682,18 @@ class TestUnfoldAndSerialization:
         assert unfold(node, budget=12) == cluster_reference.unfold(node, budget=12)
         with pytest.raises(BudgetError, match="unfolding exceeded 11 configurations"):
             unfold(node, budget=11)
+
+    def test_a_coprime_window_within_the_budget_is_marked(self, monkeypatch):
+        # emitting wheels of 3 and 5 recur together every 15 ticks, over a
+        # window limit of 10 but coprime: cycle_length counts by CRT, while
+        # unfold marks every window within its budget and reads those marks
+        node = union_over(wheel(2), wheel(3), wheel(5))
+        monkeypatch.setattr(cluster, "CYCLE_WINDOW_LIMIT", 10)
+        assert cycle_length(node).base_ticks == 30
+        assert unfold(node, budget=100) == cluster_reference.unfold(node, budget=100)
+        with pytest.raises(BudgetError, match="unfolding exceeded 12 configurations") as info:
+            unfold(node, budget=12)  # a window past the budget gives a period past it
+        assert (info.value.used, info.value.limit) == (30, 12)
 
     def test_cluster_json_round_trip(self):
         node = wheels_within_wheels()
