@@ -32,6 +32,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import (
+    SYNC_WORK_LIMIT,
     AmbiguousChainError,
     BudgetError,
     HaltedError,
@@ -44,7 +45,6 @@ from .menagerie import annotate_outputs, wheel
 
 EXACT_PATH_LIMIT = 200
 SUBSET_SEARCH_LIMIT = 20
-SYNC_WORK_LIMIT = 100_000_000
 STATIONARY_RESIDUAL = 1e-12
 OCCUPANCY_WORK_LIMIT = 50_000_000
 # The fixed cost of one step of path counting or Monte Carlo, in visits: a

@@ -7,7 +7,8 @@ JSON file goes through ``read_doc`` to the reader of the module that owns
 the document, and a malformed one is reported with its path.  Exit codes:
 0 success, 1 domain errors (one machine-readable line), 2 usage errors.
 The CMA_CONSTRAINTS environment variable overrides the structural budgets
-as "m=10000,s=256,o=8,i=10000".
+as "m=10000,s=256,o=8,i=10000".  Each handler imports the engine modules it
+runs, so a command loads only its own share of the package.
 """
 from __future__ import annotations
 
@@ -18,10 +19,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis, cluster, fluents, lingua, memory
-from .errors import DomainError, InputDomainError
+from .errors import (
+    CYCLE_WINDOW_LIMIT,
+    DEFAULT_HORIZON,
+    SYNC_WORK_LIMIT,
+    DomainError,
+    InputDomainError,
+)
 from .machine import BLANK_GLYPH, Automaton, Constraints, from_doc, to_dot, to_json, validate
-from .menagerie import build, is_spec
 
 
 class UsageError(Exception):
@@ -50,6 +55,8 @@ def env_constraints() -> Constraints:
 
 
 def load_machine(text: str, constraints: Constraints) -> Automaton:
+    from .menagerie import build, is_spec
+
     if is_spec(text):
         return build(text, constraints)
     if Path(text).exists():
@@ -80,14 +87,20 @@ def read_doc(path: str, loader):
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
-def fraction(text: str, option: str) -> Fraction:
+def fraction(text: str, option: str, parse=Fraction):
+    """``parse(text)``, by default one exact rational; a value it refuses is
+    an InputDomainError that names ``option``."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse(text)
+    except ValueError as exc:
         raise InputDomainError(f"{option}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InputDomainError(f"{option}: {text!r} has a zero denominator") from exc
 
 
-def load_cluster(args, constraints: Constraints) -> cluster.ClusterNode:
+def load_cluster(args, constraints: Constraints):
+    from . import cluster
+
     if args.cluster:
         return read_doc(args.cluster, cluster.node_from_doc)
     if not args.machine:
@@ -125,6 +138,8 @@ def _require_seed(args):
 def cmd_validate(args, constraints):
     # build with default budgets so over-budget machines can still be examined
     if args.cluster or args.inner:
+        from . import cluster
+
         node = load_cluster(args, Constraints())
         report = cluster.validate_cluster(node, constraints=constraints)
     else:
@@ -150,6 +165,8 @@ def cmd_export_dot(args, constraints):
 
 
 def cmd_occupancy(args, constraints):
+    from . import analysis
+
     machine = load_machine(args.machine, constraints)
     if args.mode == "path-count":
         if args.steps is None:
@@ -175,11 +192,12 @@ def cmd_occupancy(args, constraints):
 
 
 def cmd_approx_dist(args, constraints):
+    from . import analysis
+
     outcomes = args.outcomes.split(",") if args.outcomes else None
-    try:
-        dist = analysis.FiniteDistribution.parse(args.probs, outcomes)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputDomainError(f"--probs: {exc}") from exc
+    dist = fraction(
+        args.probs, "--probs", lambda text: analysis.FiniteDistribution.parse(text, outcomes)
+    )
     machine = analysis.approximate_distribution(dist, fraction(args.eps, "--eps"), constraints)
     counts: dict[str, int] = {}
     for state in machine.states:
@@ -196,6 +214,8 @@ def cmd_approx_dist(args, constraints):
 
 
 def cmd_sync_word(args, constraints):
+    from . import analysis
+
     machine = load_machine(args.machine, constraints)
     result = analysis.synchronizing_word(machine)
     if result is None:
@@ -219,6 +239,8 @@ def cmd_sync_word(args, constraints):
 
 
 def cmd_classify(args, constraints):
+    from . import cluster
+
     if args.cluster or args.inner:
         target = load_cluster(args, constraints)
     else:
@@ -238,6 +260,8 @@ def cmd_classify(args, constraints):
 
 
 def cmd_cycle_length(args, constraints):
+    from . import cluster
+
     if args.sizes:
         outer_text, _, inner_text = args.sizes.partition(":")
         try:
@@ -260,6 +284,8 @@ def cmd_cycle_length(args, constraints):
 
 
 def cmd_bisim(args, constraints):
+    from . import cluster
+
     left = load_machine(args.machine, constraints)
     right = load_machine(args.other, constraints)
     result = cluster.bisimilar(left, right)
@@ -275,6 +301,8 @@ def cmd_bisim(args, constraints):
 
 
 def cmd_simulate(args, constraints):
+    from . import cluster
+
     node = load_cluster(args, constraints)
     report = cluster.simulate(node, args.ticks)
     occupancy = report.occupancy()
@@ -297,6 +325,8 @@ def cmd_simulate(args, constraints):
 
 
 def cmd_tape(args, constraints):
+    from . import memory
+
     tape = memory.build_t1(replicas=args.replicas)
     symbols = []
     if args.script:
@@ -333,6 +363,8 @@ def cmd_tape(args, constraints):
 
 
 def cmd_fluent(args, constraints):
+    from . import fluents
+
     store = read_doc(args.store, fluents.load_store)
     at = fluents.TimePoint.parse(args.at)
     value = fluents.evaluate(store, args.name, at, args.mode, fraction(args.theta, "--theta"))
@@ -341,6 +373,8 @@ def cmd_fluent(args, constraints):
 
 
 def cmd_parse(args, constraints):
+    from . import lingua
+
     if args.lexicon == "demo":
         lexicon, patterns = None, None
     else:
@@ -368,6 +402,8 @@ def cmd_parse(args, constraints):
 
 
 def cmd_activate(args, constraints):
+    from . import lingua
+
     if args.steps < 0:
         raise InputDomainError(f"steps must be >= 0, got {args.steps}")
     if args.net == "grief-demo":
@@ -430,13 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_approx_dist)
 
     p = sub.add_parser("sync-word", help="synchronizing word: shortest up to 20 states, greedy"
-                       f" above, work limit SYNC_WORK_LIMIT={analysis.SYNC_WORK_LIMIT:.0e}")
+                       f" above, work limit SYNC_WORK_LIMIT={SYNC_WORK_LIMIT:.0e}")
     common(p)
     p.set_defaults(handler=cmd_sync_word)
 
     p = sub.add_parser("classify", help="temporal structure family")
     common(p, cluster=True)
-    p.add_argument("--horizon", type=int, default=cluster.DEFAULT_HORIZON)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p.add_argument("--open-start", action="store_true")
     p.add_argument("--open-end", action="store_true")
     p.set_defaults(handler=cmd_classify)
@@ -445,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cycle-length",
         help="first return time of an all-wheel union cluster of any depth, from one period "
         "summary per wheel; a wheel's emitting children must recur together within "
-        f"{cluster.CYCLE_WINDOW_LIMIT} ticks, or have pairwise coprime periods",
+        f"{CYCLE_WINDOW_LIMIT} ticks, or have pairwise coprime periods",
     )
     common(p, cluster=True)
     p.add_argument("--sizes", help="OUTER:L1,L2,... (analytic only, no machines built)")
@@ -522,6 +558,8 @@ def failure_line(exc: DomainError) -> dict:
         value = getattr(exc, key, None)
         if value is None:
             continue
+        from . import cluster
+
         digits = cluster.digit_count(value)
         line[key] = value if digits <= 4000 else f"{cluster.leading_digits(value)}...e{digits - 1}"
     return line

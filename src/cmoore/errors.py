@@ -1,9 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the limits the CLI names.
 
 Everything that reflects bad input or an unsatisfiable request derives from
 DomainError; the CLI maps those to exit code 1 and a single machine-readable
 line on stdout.
 """
+
+# Limits and defaults that the CLI's help text names.  They live here, beside
+# BudgetError, so that building the parser imports no engine module;
+# ``analysis`` and ``cluster`` import them from here and apply them.
+DEFAULT_HORIZON = 2**64
+CYCLE_WINDOW_LIMIT = 1_000_000
+SYNC_WORK_LIMIT = 100_000_000
 
 
 class DomainError(Exception):

@@ -17,8 +17,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cluster import ScaleSystem
 from .errors import InputDomainError, UnassignedWindowError
+from .timescales import ScaleSystem
 
 DEFAULT_THETA = Fraction(2, 3)
 

@@ -521,6 +521,23 @@ def one_json_line(out):
 
 
 @pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        (["approx-dist", "--probs", "1/2,1/2", "--eps", "1/0"], "--eps", "1/0"),
+        (["approx-dist", "--probs", "1/0,1", "--eps", "1/10"], "--probs", "1/0,1"),
+        (FILE_OPTIONS["fluent"] + ["{store}", "--theta", "1/0"], "--theta", "1/0"),
+    ],
+    ids=["eps", "probs", "theta"],
+)
+def test_zero_denominator_is_one_json_line(capsys, tmp_path, argv, option, value):
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"fluents": {"rain": {"domain": [0, 10], "true": [[0, 5]]}}}))
+    code, out = run_cli(capsys, *(arg.format(store=store) for arg in argv))
+    assert code == 1
+    assert one_json_line(out) == f"{option}: {value!r} has a zero denominator"
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         [],
