@@ -54,6 +54,15 @@ def env_constraints() -> Constraints:
         raise InputDomainError(f"CMA_CONSTRAINTS: {exc}") from None
 
 
+def machine_option(args) -> str:
+    """The ``--machine`` text; a command run without it is a usage error,
+    whose message names ``--cluster`` too where the command has it."""
+    if not args.machine:
+        other = " (with optional --inner) or --cluster FILE" if "cluster" in vars(args) else ""
+        raise UsageError(f"need --machine{other}")
+    return args.machine
+
+
 def load_machine(text: str, constraints: Constraints) -> Automaton:
     from .menagerie import build, is_spec
 
@@ -103,9 +112,7 @@ def load_cluster(args, constraints: Constraints):
 
     if args.cluster:
         return read_doc(args.cluster, cluster.node_from_doc)
-    if not args.machine:
-        raise UsageError("need --machine (with optional --inner) or --cluster FILE")
-    outer = load_machine(args.machine, constraints)
+    outer = load_machine(machine_option(args), constraints)
     inner = []
     for assignment in args.inner or ():
         state, _, spec = assignment.partition("=")
@@ -143,7 +150,7 @@ def cmd_validate(args, constraints):
         node = load_cluster(args, Constraints())
         report = cluster.validate_cluster(node, constraints=constraints)
     else:
-        report = validate(load_machine(args.machine, Constraints()), constraints)
+        report = validate(load_machine(machine_option(args), Constraints()), constraints)
     lines = [f"{v.rule}: {v.subject}: {v.detail}" for v in report]
     emit(
         args,
@@ -154,7 +161,7 @@ def cmd_validate(args, constraints):
 
 
 def cmd_export_dot(args, constraints):
-    machine = load_machine(args.machine, constraints)
+    machine = load_machine(machine_option(args), constraints)
     text = to_dot(machine)
     if args.out:
         write_text(args.out, text)
@@ -167,7 +174,7 @@ def cmd_export_dot(args, constraints):
 def cmd_occupancy(args, constraints):
     from . import analysis
 
-    machine = load_machine(args.machine, constraints)
+    machine = load_machine(machine_option(args), constraints)
     if args.mode == "path-count":
         if args.steps is None:
             raise UsageError("--mode path-count requires --steps")
@@ -216,7 +223,7 @@ def cmd_approx_dist(args, constraints):
 def cmd_sync_word(args, constraints):
     from . import analysis
 
-    machine = load_machine(args.machine, constraints)
+    machine = load_machine(machine_option(args), constraints)
     result = analysis.synchronizing_word(machine)
     if result is None:
         emit(args, "none", {"word": None})
@@ -244,7 +251,7 @@ def cmd_classify(args, constraints):
     if args.cluster or args.inner:
         target = load_cluster(args, constraints)
     else:
-        target = load_machine(args.machine, constraints)
+        target = load_machine(machine_option(args), constraints)
     result = cluster.classify(
         target,
         horizon=args.horizon,
@@ -286,7 +293,7 @@ def cmd_cycle_length(args, constraints):
 def cmd_bisim(args, constraints):
     from . import cluster
 
-    left = load_machine(args.machine, constraints)
+    left = load_machine(machine_option(args), constraints)
     right = load_machine(args.other, constraints)
     result = cluster.bisimilar(left, right)
     emit(

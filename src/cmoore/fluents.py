@@ -105,9 +105,11 @@ class FluentStore:
     Explicit fluents are total over a declared domain of base indices and
     stored as sorted, disjoint, non-touching true intervals; cyclic fluents
     are true exactly on a congruence class of indices.  Queries above the
-    base scale are always derived, never stored, and cost nothing per unit
-    of the window.  Installation must be serialized externally; evaluation
-    is pure.
+    base scale are always derived, never stored.  A window costs time in
+    proportion to the stored intervals it touches, not to its units (a
+    cyclic fluent's window costs a constant); answering in time independent
+    of the window is open (ROADMAP item 7).  Installation must be
+    serialized externally; evaluation is pure.
     """
 
     def __init__(self, scales: ScaleSystem | None = None, base_scale: int | None = None):
@@ -118,6 +120,14 @@ class FluentStore:
         # name -> (domain start, domain stop, interval starts, interval stops)
         self._explicit: dict[str, tuple[int, int, list[int], list[int]]] = {}
         self._cyclic: dict[str, tuple[int, int, int]] = {}
+        self._widths: dict[int, int] = {}  # scale -> base units in one of its units
+
+    def _width(self, scale: int) -> int:
+        """Base units inside one unit of ``scale``, found once per scale."""
+        width = self._widths.get(scale)
+        if width is None:
+            width = self._widths[scale] = self.scales.units(scale, self.base_scale)
+        return width
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(set(self._explicit) | set(self._cyclic)))
@@ -219,8 +229,10 @@ def evaluate(
     """
     if mode not in ("forall", "exists", "preponderant"):
         raise InputDomainError(f"unknown mode {mode!r}")
-    theta = Fraction(theta)
-    if not Fraction(1, 2) < theta <= 1:
+    if type(theta) is not Fraction:
+        theta = Fraction(theta)
+    num, den = theta.numerator, theta.denominator
+    if not (2 * num > den and num <= den):  # 1/2 < theta <= 1, as den > 0
         raise InputDomainError(f"theta must lie in (1/2, 1], got {theta}")
     if at.scale < store.base_scale:
         raise InputDomainError(
@@ -228,17 +240,18 @@ def evaluate(
         )
     if at.scale > store.scales.max_scale:
         raise InputDomainError(f"scale {at.scale} outside the scale system")
-    width = store.scales.units(at.scale, store.base_scale)
+    width = store._width(at.scale)
     start = at.index * width
     longest_true, longest_false = store.longest_runs(name, start, start + width)
     if mode == "forall":
         return Truth.of(longest_false == 0)
     if mode == "exists":
         return Truth.of(longest_true > 0)
-    threshold = theta * width
-    if longest_true >= threshold:
+    # run >= theta * width, exactly, in integers
+    threshold = num * width
+    if longest_true * den >= threshold:
         return Truth.TRUE
-    if longest_false >= threshold:
+    if longest_false * den >= threshold:
         return Truth.FALSE
     return Truth.UNDEFINED
 

@@ -18,7 +18,6 @@ from cmoore.lingua import (
     ParseItem,
     ParseResult,
     PatternSet,
-    _sort_key,
     demo_lexicon,
     demo_patterns,
 )
@@ -79,12 +78,25 @@ def parse(
             chart.update(fresh)
             changed = True
     surviving = _survivors(chart)
-    ordered_chart = tuple(sorted(chart, key=_sort_key))
-    ordered_items = tuple(sorted(surviving, key=_sort_key))
+    ordered_chart = tuple(sorted(chart, key=sort_key))
+    ordered_items = tuple(sorted(surviving, key=sort_key))
     full = tuple(
         item for item in ordered_items if item.start == 0 and item.end == len(words)
     )
     return ParseResult(words, ordered_chart, ordered_items, full)
+
+
+def sort_key(item: ParseItem):
+    """The parse order, derived from the item's fields and its children's
+    keys on every call; ``ParseItem._key`` caches the same tuple."""
+    return (
+        item.start,
+        item.end,
+        item.category,
+        item.lemma,
+        item.senses,
+        tuple(sort_key(child) for child in item.children),
+    )
 
 
 def _tilings(by_start, sequence, limit):

@@ -757,3 +757,26 @@ def test_no_inline_spec_ends_in_a_traceback(spec, command):
     except InputDomainError:
         return
     assert "neither a known machine spec nor a file" not in out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate"], "need --machine (with optional --inner) or --cluster FILE"),
+        (["classify"], "need --machine (with optional --inner) or --cluster FILE"),
+        (["occupancy"], "need --machine"),
+        (["sync-word"], "need --machine"),
+        (["export-dot"], "need --machine"),
+        (["bisim", "--other", "wheel:2"], "need --machine"),
+        (["export-dot", "--machine", ""], "need --machine"),
+    ],
+    ids=["validate", "classify", "occupancy", "sync-word", "export-dot", "bisim", "empty"],
+)
+def test_missing_machine_is_one_usage_line(capsys, argv, message):
+    """The same check as a cluster command without --machine or --cluster:
+    exit 2, nothing on stdout, and one line on stderr."""
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"usage error: {message}"]

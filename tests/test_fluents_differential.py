@@ -3,18 +3,20 @@
 Explicit fluents with overlapping, touching and empty true ranges, and
 cyclic fluents with wrapping phases, are installed in both a ``FluentStore``
 and the reference store of ``fluents_reference``.  Every query (all three
-modes, random theta, windows inside, across and outside the domain, at
-negative indices, at scales below and above the store) must give the same
-truth value, or raise the same error type with the same message.
+modes, random theta given as a Fraction, float, int or string, windows
+inside, across and outside the domain, at negative indices, at scales below
+and above the store) must give the same truth value, or raise the same error
+type with the same message.
 """
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fluents_reference as ref
 from cmoore.cluster import ScaleSystem
-from cmoore.errors import DomainError
+from cmoore.errors import DomainError, InputDomainError
 from cmoore.fluents import FluentStore, TimePoint, evaluate
 
 settings.register_profile(
@@ -82,8 +84,18 @@ def build(scales, base, explicit, cyclic):
     return new, old
 
 
-thetas = st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=50).filter(
+fraction_thetas = st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=50).filter(
     lambda f: f > Fraction(1, 2)
+)
+# ``evaluate`` converts theta only when it is not a Fraction already, and
+# decides preponderance on its numerator and denominator; each form of theta,
+# and values just outside (1/2, 1], must behave as the Fraction arithmetic does
+thetas = st.one_of(
+    fraction_thetas,
+    st.floats(min_value=0.45, max_value=1.05),
+    st.sampled_from((0.7, 0.5, 1.1, 1, 2, 0, True)),
+    fraction_thetas.map(str),
+    st.sampled_from(("2/3", "0.75", "1", "1/2", "3/2", "0.5000001")),
 )
 queries = st.lists(
     st.tuples(
@@ -151,4 +163,63 @@ def test_install_errors_match_reference(start, length, ranges):
     new, old = FluentStore(scales, 0), ref.ReferenceStore(scales, 0)
     assert outcome(lambda: new.assign("p", domain, ranges)) == outcome(
         lambda: old.assign("p", domain, ranges)
+    )
+
+
+# scale -> how many units of the scale below one of its units holds
+NAIVE_FACTORS = dict(ScaleSystem.naive().factors)
+WINDOW_CAP = 1000  # the reference lists every unit of a window
+
+
+@DIFFERENTIAL
+@given(st.integers(-1, 5), st.data())
+def test_naive_scales_and_theta_forms_match_reference(base, data):
+    """Every naive scale is a window scale for some base; each store caches
+    one width per scale, so repeated and interleaved scales must keep their
+    own width, as must a second store over the same system."""
+    scales = ScaleSystem.naive()
+    widths = {base: 1}  # scale -> base units in one of its units
+    for scale in range(base + 1, scales.max_scale + 1):
+        width = widths[scale - 1] * NAIVE_FACTORS[scale]
+        if width > WINDOW_CAP:
+            break
+        widths[scale] = width
+    # windows at indices -4..3 of the widest scale run off both domain ends
+    span = 3 * max(widths.values())
+    lows = data.draw(st.lists(st.integers(-span, span), max_size=8))
+    ranges = [(lo, min(span, lo + data.draw(st.integers(0, span // 2)))) for lo in lows]
+    period = data.draw(st.integers(2, 2 * WINDOW_CAP))
+    phase = data.draw(st.integers(0, period - 1))
+    explicit = {"e": ((-span, span), ranges)}
+    cyclic = {"c": (period, (phase, phase + data.draw(st.integers(1, period - 1))))}
+    stores = [build(scales, base, explicit, cyclic) for _ in range(2)]
+    # a scale below the base and one past the system are errors at every theta
+    query_scales = st.sampled_from(list(widths) + [base - 1, scales.max_scale + 1])
+    for _ in range(data.draw(st.integers(1, 30))):
+        new, old = stores[data.draw(st.integers(0, 1))]
+        name = data.draw(st.sampled_from(("e", "c")))
+        at = TimePoint(data.draw(query_scales), data.draw(st.integers(-4, 3)))
+        mode = data.draw(st.sampled_from(MODES))
+        theta = data.draw(thetas)
+        assert outcome(lambda: evaluate(new, name, at, mode, theta)) == outcome(
+            lambda: ref.evaluate(old, name, at, mode, theta)
+        ), (name, at, mode, theta)
+
+
+@pytest.mark.parametrize(
+    "theta, shown",
+    [
+        (Fraction(1, 2), "1/2"),
+        (Fraction(3, 2), "3/2"),
+        (1.1, "2476979795053773/2251799813685248"),
+        ("3/2", "3/2"),
+        (0, "0"),
+    ],
+)
+def test_theta_bound_message_is_unchanged(theta, shown):
+    store = FluentStore(ScaleSystem.naive(), 0)
+    store.assign("p", (0, 100), [(0, 70)])
+    message = f"theta must lie in (1/2, 1], got {shown}"
+    assert outcome(lambda: evaluate(store, "p", TimePoint(0, 0), "forall", theta)) == (
+        InputDomainError, message
     )

@@ -2,6 +2,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmoore.errors import BudgetError, ContradictionError, InputDomainError
 from cmoore.fluents import TimePoint
@@ -117,6 +119,55 @@ class TestStep:
             for node in net.nodes:
                 if net.phase_of(node) is Phase.BLOCKED:
                     phases[node] = Phase.BLOCKED
+
+
+@st.composite
+def activation_runs(draw):
+    """A random network (links included) and a random run of injections and
+    steps over it; ``None`` marks a step."""
+    names = [f"n{k}" for k in range(draw(st.integers(0, 8)))]
+    if not names:
+        return ActivationNetwork.build([]), [None] * draw(st.integers(0, 3))
+    node = st.sampled_from(names)
+    edges = draw(st.lists(st.tuples(node, node), max_size=20))
+    links = draw(st.lists(st.tuples(node, st.just("knows"), node), max_size=3))
+    net = ActivationNetwork.build(names, edges, links)
+    return net, draw(st.lists(st.none() | node, max_size=30))
+
+
+class TestTrustedRebuild:
+    """``inject`` and ``step_network`` build their result without the
+    public constructor's checks; it must be the network that constructor
+    builds from the same phases."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(activation_runs())
+    def test_each_result_equals_the_publicly_built_network(self, run):
+        net, actions = run
+        start = net
+        for action in actions:
+            net = step_network(net)[0] if action is None else inject(net, action)
+            public = ActivationNetwork(net.phases, net.edges, net.static_links)
+            assert type(net) is ActivationNetwork
+            assert net == public and hash(net) == hash(public)
+            assert net.nodes == start.nodes
+            assert (net.edges, net.static_links) == (start.edges, start.static_links)
+
+    def test_public_constructor_rejects_duplicate_names(self):
+        phases = (("a", Phase.REST), ("a", Phase.AROUSED))
+        with pytest.raises(ValueError, match=r"^duplicate node names$"):
+            ActivationNetwork(phases, ())
+
+    def test_public_constructor_rejects_unknown_endpoints(self):
+        phases = (("a", Phase.REST),)
+        with pytest.raises(ValueError, match=r"^edge \('a', 'z'\) touches an unknown node$"):
+            ActivationNetwork(phases, (("a", "z"),))
+        with pytest.raises(ValueError, match=r"^edge \('z', 'a'\) touches an unknown node$"):
+            ActivationNetwork.build(["a"], [("z", "a")])
+
+    def test_inject_into_an_unknown_node_names_it(self):
+        with pytest.raises(InputDomainError, match=r"^unknown node 'b'$"):
+            inject(ActivationNetwork.build(["a"]), "b")
 
 
 class TestGriefLaw:
