@@ -2,10 +2,11 @@
 
 The package covers the canonical machine menagerie (wheels, chains, the
 abstract synapse, wires, aspect shapes, schemas), occupancy and stationary
-analysis, multi-timescale clustered simulation with temporal-structure
-classification, decaying tape memory, fluent evaluation under universal /
-existential / preponderance semantics, and a small spreading-activation
-island parser.  ``cmoore.cli`` exposes all of it on the command line.
+analysis, multi-timescale clustered simulation, temporal-structure
+classification and output bisimulation, decaying tape memory, fluent
+evaluation under universal / existential / preponderance semantics, and a
+small spreading-activation island parser.  ``cmoore.cli`` exposes all of it
+on the command line.
 
 ``import cmoore`` loads no submodule: each public name, and each submodule,
 is imported on first use (PEP 562), so a caller pays only for what it uses.
@@ -20,12 +21,12 @@ _EXPORTS = {
     "analysis": """FiniteDistribution OccupancyVector SyncResult approximate_distribution
         monte_carlo_occupancy path_count_occupancy signal_occupancy stationary_distribution
         synchronizing_word""",
-    "cluster": """BisimulationResult ClusterNode ClusterState CycleLength SimulationReport
-        TemporalClass TickResult bisimilar canonical_machine classify cycle_length digit_count
-        initial_state leading_digits max_prime_power_sizes node_from_json node_to_json product
-        simulate tick unfold validate_cluster wheel_cluster_cycle""",
+    "cluster": """ClusterNode ClusterState CycleLength SimulationReport TickResult cycle_length
+        initial_state max_prime_power_sizes node_from_json node_to_json product simulate tick
+        unfold validate_cluster wheel_cluster_cycle""",
     "errors": """AmbiguousChainError BudgetError ContradictionError DomainError HaltedError
-        InfeasibleError InputDomainError UnassignedWindowError UnsupportedStructureError""",
+        InfeasibleError InputDomainError UnassignedWindowError UnsupportedStructureError
+        digit_count leading_digits""",
     "fluents": "FluentStore TimePoint Truth contains evaluate evaluate_schema load_store",
     "lingua": """ActivationNetwork LexEntry Lexicon ParseItem ParseResult Pattern PatternSet Phase
         TenseMap demo_lexicon demo_patterns disambiguate grief_demo_network inject load_grammar
@@ -36,6 +37,7 @@ _EXPORTS = {
         run_script transition_table_size""",
     "menagerie": """aktionsart annotate_outputs build chain gallery schema state_names synapse
         wheel wire""",
+    "temporal": "BisimulationResult TemporalClass bisimilar canonical_machine classify",
     "timescales": "ScaleSystem",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -25,6 +25,8 @@ from .errors import (
     SYNC_WORK_LIMIT,
     DomainError,
     InputDomainError,
+    digit_count,
+    leading_digits,
 )
 from .machine import BLANK_GLYPH, Automaton, Constraints, from_doc, to_dot, to_json, validate
 
@@ -246,13 +248,13 @@ def cmd_sync_word(args, constraints):
 
 
 def cmd_classify(args, constraints):
-    from . import cluster
+    from . import temporal
 
     if args.cluster or args.inner:
         target = load_cluster(args, constraints)
     else:
         target = load_machine(machine_option(args), constraints)
-    result = cluster.classify(
+    result = temporal.classify(
         target,
         horizon=args.horizon,
         open_start=args.open_start,
@@ -277,7 +279,7 @@ def cmd_cycle_length(args, constraints):
         except ValueError:
             raise UsageError(f"--sizes wants OUTER:L1,L2,..., got {args.sizes!r}") from None
         value = cluster.wheel_cluster_cycle(outer, inner)
-        result = cluster.CycleLength(value, cluster.digit_count(value), False)
+        result = cluster.CycleLength(value, digit_count(value), False)
     else:
         node = load_cluster(args, constraints)
         result = cluster.cycle_length(node)
@@ -285,17 +287,17 @@ def cmd_cycle_length(args, constraints):
     if result.digit_count <= 60:
         payload["base_ticks"] = result.base_ticks
     else:
-        payload["leading"] = cluster.leading_digits(result.base_ticks)
+        payload["leading"] = leading_digits(result.base_ticks)
     emit(args, str(result), payload)
     return 0
 
 
 def cmd_bisim(args, constraints):
-    from . import cluster
+    from . import temporal
 
     left = load_machine(machine_option(args), constraints)
     right = load_machine(args.other, constraints)
-    result = cluster.bisimilar(left, right)
+    result = temporal.bisimilar(left, right)
     emit(
         args,
         str(result.equivalent).lower(),
@@ -565,10 +567,8 @@ def failure_line(exc: DomainError) -> dict:
         value = getattr(exc, key, None)
         if value is None:
             continue
-        from . import cluster
-
-        digits = cluster.digit_count(value)
-        line[key] = value if digits <= 4000 else f"{cluster.leading_digits(value)}...e{digits - 1}"
+        digits = digit_count(value)
+        line[key] = value if digits <= 4000 else f"{leading_digits(value)}...e{digits - 1}"
     return line
 
 

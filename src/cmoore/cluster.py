@@ -13,9 +13,9 @@ shape, then one summary per node (its period, the ticks on which it
 advances over one window, and the periods of the subtrees below it that
 never emit) is built children first.  Only the summary decides when a
 union node advances; ``unfold`` reads such a tree's configurations off
-those marks, one column of states per node.  It also houses the
-temporal-structure classifier, and output bisimulation via worklist
-partition refinement.
+those marks, one column of states per node.  The analysis of one flat
+machine (its temporal family, output bisimulation, and the run every node
+is compiled from) lives in ``temporal``.
 """
 from __future__ import annotations
 
@@ -30,10 +30,12 @@ from typing import Mapping, Sequence
 from . import menagerie
 from .errors import (
     CYCLE_WINDOW_LIMIT,
-    DEFAULT_HORIZON,
+    DEFAULT_HORIZON,  # re-exported with classify
     BudgetError,
     InputDomainError,
     UnsupportedStructureError,
+    digit_count,
+    leading_digits,
 )
 from .machine import (
     SILENT,
@@ -46,12 +48,15 @@ from .machine import (
     to_doc,
     validate,
 )
+from .temporal import _HALT, _NOT_UNARY, _run, _successor_table
+from .temporal import (  # re-exported: part of the public surface of cmoore.cluster
+    BisimulationResult, TemporalClass, bisimilar, canonical_machine, classify
+)
 from .timescales import ScaleSystem
 
 TICK_POLICIES = ("external", "union", "current-state")
 UNFOLD_BUDGET = 100_000
 SIMULATE_WORK_LIMIT = 20_000_000
-TEMPORAL_FAMILIES = ("Z", "N", "P", "L", "C")
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,16 @@ class ClusterNode:
     @classmethod
     def leaf(cls, machine: Automaton, scale: int = 0) -> "ClusterNode":
         return cls(machine, scale=scale, tick_policy="external")
+
+    def _unary_walk(self) -> tuple[int, int | None]:
+        """``temporal._unary_walk`` of the tree: distinct configurations on
+        its run from the start, and where the last ticks back to (or None)."""
+        try:  # a union wheel tree: its start lies on a cycle of one period
+            return cycle_length(self).base_ticks, 0
+        except UnsupportedStructureError:
+            # the lasso is the path of unfold(self), so it shares its budget
+            configurations, back = self._compiled.lasso(UNFOLD_BUDGET)
+            return len(configurations), back
 
 
 @dataclass(frozen=True)
@@ -147,30 +162,10 @@ def validate_cluster(
     return report
 
 
-# Successor-table markers: a state with no successor halts the machine; the
-# other two refuse the tick with an UnsupportedStructureError when reached.
-_HALT = -1
-_NONDETERMINISTIC = -2
-_NOT_UNARY = -3
-
 _EXTERNAL, _UNION, _CURRENT_STATE = range(3)
 
 # What one tick of a node did, as returned by ``_CompiledCluster.step``.
 _HALTED, _IDLE, _ADVANCED, _EMITTED = -1, 0, 1, 2
-
-
-def _run(succ: list[int], start: int) -> tuple[list[int], list[int], int | None]:
-    """The distinct states on the run from ``start`` over the successor
-    table ``succ``, each state's position on it (-1 when off it), and the
-    position the last one steps back to (None when it meets a marker)."""
-    position = [-1] * len(succ)
-    states = []
-    q = start
-    while q >= 0 and position[q] < 0:
-        position[q] = len(states)
-        states.append(q)
-        q = succ[q]
-    return states, position, position[q] if q >= 0 else None
 
 
 class _Walk:
@@ -206,16 +201,6 @@ class _Walk:
         return self._states[k]
 
 
-def _successor_table(machine: Automaton) -> list[int]:
-    """The successor index of each state on the unary tick, or a marker."""
-    if len(machine.inputs) != 1:
-        return [_NOT_UNARY] * len(machine.states)
-    return [
-        targets[0] if len(targets) == 1 else _NONDETERMINISTIC if targets else _HALT
-        for targets in machine._succ[0]
-    ]
-
-
 class _CompiledCluster:
     """A cluster tree flattened into integer tables, in preorder.
 
@@ -224,13 +209,11 @@ class _CompiledCluster:
     node the tables hold the successor of each state (or a marker), whether
     each state emits, the tick policy, the driven children (all of them
     under the union policy, one slot per state, -1 when empty, under
-    current-state) and the run from the start (see ``_run``), which every
-    walk of a node reads.
+    current-state) and the run from the start (see ``temporal._run``),
+    which every walk of a node reads.
     """
 
-    __slots__ = (
-        "machines", "succ", "emits", "policy", "driven", "inner", "start", "runs", "walks"
-    )
+    __slots__ = ("machines", "succ", "emits", "policy", "driven", "inner", "runs", "walks")
 
     def __init__(self, root: ClusterNode):
         self.machines: list[Automaton] = []
@@ -239,7 +222,6 @@ class _CompiledCluster:
         self.policy: list[int] = []
         self.driven: list[list[int]] = []
         self.inner: list[list[tuple[str, int]]] = []
-        self.start: list[int] = []
         self.runs: list[tuple] = []
         self.walks: dict[int, _Walk] = {}  # per leaf, built when simulate first runs it
         self._add(root)
@@ -251,8 +233,7 @@ class _CompiledCluster:
         self.machines.append(machine)
         self.succ.append(_successor_table(machine))
         self.emits.append([machine.output_map[q] != SILENT for q in machine.states])
-        self.start.append(index[machine.initial])
-        self.runs.append(_run(self.succ[i], self.start[i]))
+        self.runs.append(_run(self.succ[i], index[machine.initial]))
         self.policy.append(_EXTERNAL)
         self.driven.append([])
         self.inner.append([])
@@ -367,7 +348,7 @@ class _CompiledCluster:
     def lasso(self, budget: int) -> tuple[list[tuple[int, ...]], int | None]:
         """Distinct configurations from the start, in tick order, and the
         position the last one ticks back to (None when it halts instead)."""
-        vec = list(self.start)
+        vec = [states[0] for states, _, _ in self.runs]
         advances = [0] * len(vec)
         seen = {tuple(vec): 0}
         while True:
@@ -484,7 +465,7 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
             limit=SIMULATE_WORK_LIMIT,
         )
     step = compiled.step
-    vec = list(compiled.start)
+    vec = [states[0] for states, _, _ in compiled.runs]
     advances = [0] * len(vec)
     counts = [0] * len(node.machine.states)
     emissions = ran = 0
@@ -533,28 +514,6 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     return SimulationReport(
         ticks, ran, tuple(zip(node.machine.states, counts)), emissions, halted
     )
-
-
-def digit_count(value: int) -> int:
-    """Exact decimal digit count, safe past the interpreter's int-to-str
-    limit."""
-    if value < 0:
-        raise InputDomainError("digit count is defined for non-negative integers")
-    if value == 0:
-        return 1
-    digits = max(1, int(value.bit_length() * 0.3010299956639812))
-    while 10**digits <= value:
-        digits += 1
-    while digits > 1 and 10 ** (digits - 1) > value:
-        digits -= 1
-    return digits
-
-
-def leading_digits(value: int, count: int = 12) -> str:
-    total = digit_count(value)
-    if total <= count:
-        return str(value)
-    return str(value // 10 ** (total - count))
 
 
 @dataclass(frozen=True)
@@ -738,198 +697,6 @@ def max_prime_power_sizes(limit: int = 10_000) -> list[int]:
                 power *= p
             sizes.append(power)
     return sizes
-
-
-@dataclass(frozen=True)
-class TemporalClass:
-    """One of the five discrete temporal families.
-
-    ``size`` is the cycle or chain length for the finite families C and L;
-    ``effective`` marks finite structures so large (past the horizon) that
-    they are reported as their infinite lookalikes.
-    """
-
-    family: str
-    size: int | None = None
-    effective: bool = False
-
-    def __post_init__(self):
-        if self.family not in TEMPORAL_FAMILIES:
-            raise ValueError(f"family must be one of {TEMPORAL_FAMILIES}")
-        if (self.size is not None) != (self.family in ("C", "L")):
-            raise ValueError("size is present exactly for the C and L families")
-
-    def __str__(self):
-        if self.size is not None:
-            return f"{self.family}({self.size})"
-        return self.family
-
-
-def classify(
-    target: Automaton | ClusterNode,
-    horizon: int = DEFAULT_HORIZON,
-    open_start: bool = False,
-    open_end: bool = False,
-) -> TemporalClass:
-    """Classify the temporal structure a machine (or cluster) carries.
-
-    The reachable unary graph must be a chain, possibly ending in a cycle: a
-    cycle from the start is C, a halting chain is L, a chain into a terminal
-    self-loop is L with an absorbing end, and a chain into a longer cycle is
-    eventually cyclic, reported C.  A cluster is unfolded tick by tick up to
-    ``UNFOLD_BUDGET`` configurations, unless it is a union tree of wheels:
-    that is C of its ``cycle_length``, and a tree that ``cycle_length``
-    refuses raises its window-limit ``BudgetError``, not ``unfold``'s
-    (such a tree has over ``CYCLE_WINDOW_LIMIT`` configurations, so the
-    unfold budget would refuse it too).  Finite structures beyond the horizon are
-    indistinguishable from the infinite families and flagged as effective Z
-    (cycles) or N (chains).  Openness at either end cannot be observed by
-    finite unfolding, so it is declared: an open start yields P, an open end
-    yields N, both give Z.
-    """
-    if horizon < 0:
-        raise InputDomainError(f"horizon must be >= 0, got {horizon}")
-    if open_start and open_end:
-        return TemporalClass("Z")
-    if open_start:
-        return TemporalClass("P")
-    if open_end:
-        return TemporalClass("N")
-    if isinstance(target, ClusterNode):
-        try:  # a union wheel tree: its start lies on a cycle of one period
-            size, back = cycle_length(target).base_ticks, 0
-        except UnsupportedStructureError:
-            # the lasso is the path of unfold(target), so it shares its budget
-            configurations, back = target._compiled.lasso(UNFOLD_BUDGET)
-            size = len(configurations)
-    else:
-        size, back = _unary_walk(target)
-    if back is None:
-        if size > horizon:
-            return TemporalClass("N", effective=True)
-        return TemporalClass("L", size)
-    cycle = size - back
-    if back > 0 and cycle == 1:
-        # A chain that parks in a terminal self-loop stays bounded.
-        return TemporalClass("L", size)
-    if cycle > horizon:
-        return TemporalClass("Z", effective=True)
-    return TemporalClass("C", cycle)
-
-
-def _unary_walk(automaton: Automaton) -> tuple[int, int | None]:
-    """Distinct states on the run from the initial state, and the position
-    the last one steps back to (None when it halts instead)."""
-    if len(automaton.inputs) != 1:
-        raise UnsupportedStructureError(
-            f"{automaton.name}: classification needs a unary machine"
-        )
-    succ = _successor_table(automaton)
-    states, _, back = _run(succ, automaton._state_index[automaton.initial])
-    if back is None and succ[states[-1]] == _NONDETERMINISTIC:
-        raise UnsupportedStructureError(
-            f"{automaton.name}: nondeterministic at {automaton.states[states[-1]]!r}; "
-            "classification needs determinism"
-        )
-    return len(states), back
-
-
-def canonical_machine(temporal: TemporalClass) -> Automaton:
-    """The canonical finite representative: a wheel for C, a chain for L."""
-    if temporal.family == "C":
-        return menagerie.wheel(temporal.size)
-    if temporal.family == "L":
-        return menagerie.chain(temporal.size)
-    raise InputDomainError(f"{temporal} has no finite canonical representative")
-
-
-@dataclass(frozen=True)
-class BisimulationResult:
-    equivalent: bool
-    partition: tuple[tuple[tuple[str, str], ...], ...]
-
-    def __bool__(self):
-        return self.equivalent
-
-
-def bisimilar(left: Automaton, right: Automaton) -> BisimulationResult:
-    """Output bisimulation between two unary machines.
-
-    Partition refinement on the disjoint union (right-hand states follow the
-    left ones) by a worklist, after Hopcroft and Valmari-Lehtinen.  Blocks
-    start as output classes and every state starts dirty.  Each round splits
-    the dirty states of a block by the set of blocks their successors lie in;
-    the states that are not dirty keep the block's common signature and form
-    one piece.  The largest piece keeps the block id, the others get fresh
-    ids, and the next dirty states are the predecessors of those that moved.
-    A state only moves into a block at most half its old size, so it moves
-    at most log2 n times, and the work is O(m * d * log n) for m edges and
-    largest out-degree d.  The result is the coarsest stable partition; the
-    machines are bisimilar when their initial states share a block.  Blocks
-    are listed in ``str`` order of their keys: the output strings when the
-    output classes are already stable, else each block's rank of first
-    appearance in state order.
-    """
-    for machine in (left, right):
-        if len(machine.inputs) != 1:
-            raise UnsupportedStructureError(
-                f"{machine.name}: bisimulation needs unary machines"
-            )
-    offset = len(left.states)
-    succ = left._succ[0] + tuple(tuple(offset + q for q in t) for t in right._succ[0])
-    outputs = [left.output_map[q] for q in left.states]
-    outputs += [right.output_map[q] for q in right.states]
-    pred: list = [[] for _ in succ]
-    for p, targets in enumerate(succ):
-        for q in targets:
-            pred[q].append(p)
-    ids: dict = {}
-    block = [ids.setdefault(output, len(ids)) for output in outputs]
-    members: list = [set() for _ in ids]
-    for p, b in enumerate(block):
-        members[b].add(p)
-    dirty = range(len(succ))
-    while dirty:
-        by_block: dict = {}
-        for p in dirty:
-            by_block.setdefault(block[p], []).append(p)
-        splits = []  # signatures read the ids from before this round's splits
-        for b, states in by_block.items():
-            pieces: dict = {}
-            for p in states:
-                pieces.setdefault(frozenset([block[q] for q in succ[p]]), []).append(p)
-            rest = len(members[b]) - len(states)
-            if len(pieces) + (rest > 0) > 1:
-                splits.append((b, states, list(pieces.values()), rest))
-        moved: list = []
-        for b, states, pieces, rest in splits:
-            members[b].difference_update(states)  # what is left is the rest
-            stay = max(pieces, key=len)
-            if len(stay) > rest:
-                pieces.remove(stay)
-                if rest:
-                    pieces.append(members[b])  # the rest must move
-                members[b] = set(stay)
-            for piece in pieces:
-                fresh = len(members)
-                members.append(set(piece))
-                for p in piece:
-                    block[p] = fresh
-                moved += piece
-        dirty = {r for q in moved for r in pred[q]}
-    if len(members) > len(ids):  # some block split
-        rank: dict = {}
-        keys = [rank.setdefault(b, len(rank)) for b in block]
-    else:
-        keys = outputs
-    nodes = [("left", q) for q in left.states] + [("right", q) for q in right.states]
-    groups: dict = {}
-    for node, key in zip(nodes, keys):
-        groups.setdefault(key, []).append(node)
-    partition = tuple(tuple(group) for _, group in sorted(groups.items(), key=str))
-    left_start = left._state_index[left.initial]
-    right_start = offset + right._state_index[right.initial]
-    return BisimulationResult(block[left_start] == block[right_start], partition)
 
 
 def product(

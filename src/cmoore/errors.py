@@ -7,7 +7,7 @@ line on stdout.
 
 # Limits and defaults that the CLI's help text names.  They live here, beside
 # BudgetError, so that building the parser imports no engine module;
-# ``analysis`` and ``cluster`` import them from here and apply them.
+# ``analysis``, ``cluster`` and ``temporal`` import them from here and apply them.
 DEFAULT_HORIZON = 2**64
 CYCLE_WINDOW_LIMIT = 1_000_000
 SYNC_WORK_LIMIT = 100_000_000
@@ -69,6 +69,28 @@ class BudgetError(DomainError):
         super().__init__(message)
         self.used = used
         self.limit = limit
+
+
+def digit_count(value: int) -> int:
+    """Exact decimal digit count, safe past the interpreter's int-to-str
+    limit."""
+    if value < 0:
+        raise InputDomainError("digit count is defined for non-negative integers")
+    if value == 0:
+        return 1
+    digits = max(1, int(value.bit_length() * 0.3010299956639812))
+    while 10**digits <= value:
+        digits += 1
+    while digits > 1 and 10 ** (digits - 1) > value:
+        digits -= 1
+    return digits
+
+
+def leading_digits(value: int, count: int = 12) -> str:
+    total = digit_count(value)
+    if total <= count:
+        return str(value)
+    return str(value // 10 ** (total - count))
 
 
 class UnsupportedStructureError(DomainError):

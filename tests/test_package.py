@@ -66,11 +66,27 @@ def test_star_import_binds_every_name_and_submodule():
         assert namespace[module] is importlib.import_module(f"cmoore.{module}")
 
 
-def test_one_scale_system_class():
-    from cmoore import cluster, fluents, timescales
+# Names that moved out of ``cmoore.cluster``, by their present home.
+REHOMED = {
+    "temporal": "BisimulationResult TemporalClass bisimilar canonical_machine classify",
+    "errors": "digit_count leading_digits",
+    "timescales": "ScaleSystem",
+}
 
-    assert cmoore.ScaleSystem is cluster.ScaleSystem is fluents.ScaleSystem
-    assert cmoore.ScaleSystem is timescales.ScaleSystem
+
+@pytest.mark.parametrize(
+    "home,name", [(home, name) for home, names in REHOMED.items() for name in names.split()]
+)
+def test_a_rehomed_name_is_one_object(home, name):
+    from cmoore import cluster
+
+    value = getattr(importlib.import_module(f"cmoore.{home}"), name)
+    assert getattr(cmoore, name) is value
+    assert getattr(cluster, name) is value
+    if name == "ScaleSystem":
+        from cmoore import fluents
+
+        assert fluents.ScaleSystem is value
 
 
 def test_an_unknown_name_is_an_attribute_error():
@@ -126,12 +142,31 @@ def test_submodules_resolve_after_a_bare_import():
          {"cluster", "analysis", "lingua", "fluents", "memory"}),
         (["parse", "--sentence", "Eleanor broke the record"], {"cluster", "analysis"}),
         (["--help"], {"cluster", "analysis", "lingua", "fluents", "memory"}),
+        (["bisim", "--machine", "wheel:4", "--other", "wheel:8"],
+         {"cluster", "analysis", "lingua", "fluents", "memory"}),
+        (["classify", "--machine", "chain:5"],
+         {"cluster", "analysis", "lingua", "fluents", "memory"}),
+        (["occupancy", "--machine", "wheel:10000", "--mode", "path-count", "--steps", "5000"],
+         {"cluster"}),
     ],
-    ids=["tape", "occupancy", "simulate", "validate", "parse", "help"],
+    ids=["tape", "occupancy", "simulate", "validate", "parse", "help", "bisim",
+         "classify-machine", "budget-line"],
 )
 def test_a_command_loads_only_its_modules(argv, absent):
     loaded = loaded_by_command(*argv)
     assert loaded and not loaded & absent
+
+
+def test_classify_compiles_a_cluster_through_load_cluster():
+    loaded = loaded_after(
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['cmoore', 'classify', '--machine', 'wheel:2', '--inner', 'a=wheel:3']\n"
+        "text = io.StringIO()\n"
+        "with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):\n"
+        "    runpy.run_module('cmoore.cli', run_name='__main__')\n"
+        "assert text.getvalue() == 'C(6)\\n', text.getvalue()\n"
+    )
+    assert {"temporal", "cluster"} <= loaded
 
 
 def test_fluent_loads_no_cluster(tmp_path):
