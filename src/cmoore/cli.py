@@ -2,10 +2,10 @@
 
 One subcommand per operation family; machine arguments accept both compact
 inline specs (wheel:4, akt:activity, ...), which ``menagerie.build`` alone
-reads, and paths to CMA-JSON files, with inline winning.  Every
-JSON file goes through ``read_doc`` to the reader of the module that owns
-the document, and a malformed one is reported with its path.  Exit codes:
-0 success, 1 domain errors (one machine-readable line), 2 usage errors.
+reads, and paths to CMA-JSON files, with inline winning.  Every JSON file
+goes through ``read_doc`` to the reader of the module that owns the
+document, and a malformed one is reported with its path and its kind.  Exit
+codes: 0 success, 1 domain errors (one machine-readable line), 2 usage errors.
 The CMA_CONSTRAINTS environment variable overrides the structural budgets
 as "m=10000,s=256,o=8,i=10000".  Each handler imports the engine modules it
 runs, so a command loads only its own share of the package.
@@ -28,7 +28,8 @@ from .errors import (
     digit_count,
     leading_digits,
 )
-from .machine import BLANK_GLYPH, Automaton, Constraints, from_doc, to_dot, to_json, validate
+from .machine import (BLANK_GLYPH, Automaton, Constraints, _read_json, from_doc, to_dot,
+                      to_json, validate)
 
 
 class UsageError(Exception):
@@ -71,7 +72,7 @@ def load_machine(text: str, constraints: Constraints) -> Automaton:
     if is_spec(text):
         return build(text, constraints)
     if Path(text).exists():
-        return read_doc(text, from_doc)
+        return read_doc(text, from_doc, "machine")
     raise InputDomainError(f"{text!r} is neither a known machine spec nor a file")
 
 
@@ -89,12 +90,12 @@ def write_text(path: str, text: str) -> None:
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
-def read_doc(path: str, loader):
-    """Parse a JSON file for ``loader``, the reader of its module; errors name the file."""
+def read_doc(path: str, loader, kind: str):
+    """Read a JSON file of document ``kind`` with its module's ``loader``; errors name the file."""
     text = read_text(path)
     try:
-        return loader(json.loads(text))
-    except (json.JSONDecodeError, InputDomainError) as exc:
+        return _read_json(text, loader, kind)
+    except InputDomainError as exc:
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
@@ -113,7 +114,7 @@ def load_cluster(args, constraints: Constraints):
     from . import cluster
 
     if args.cluster:
-        return read_doc(args.cluster, cluster.node_from_doc)
+        return read_doc(args.cluster, cluster.node_from_doc, "cluster")
     outer = load_machine(machine_option(args), constraints)
     inner = []
     for assignment in args.inner or ():
@@ -374,7 +375,7 @@ def cmd_tape(args, constraints):
 def cmd_fluent(args, constraints):
     from . import fluents
 
-    store = read_doc(args.store, fluents.load_store)
+    store = read_doc(args.store, fluents.load_store, "store")
     at = fluents.TimePoint.parse(args.at)
     value = fluents.evaluate(store, args.name, at, args.mode, fraction(args.theta, "--theta"))
     emit(args, value.value, {"fluent": args.name, "at": str(at), "value": value.value})
@@ -387,7 +388,7 @@ def cmd_parse(args, constraints):
     if args.lexicon == "demo":
         lexicon, patterns = None, None
     else:
-        lexicon, patterns = read_doc(args.lexicon, lingua.load_grammar)
+        lexicon, patterns = read_doc(args.lexicon, lingua.load_grammar, "grammar")
     result = lingua.parse(args.sentence, lexicon, patterns)
     items = list(result.full) or list(result.islands())
     if args.context:
@@ -420,7 +421,7 @@ def cmd_activate(args, constraints):
     elif args.net == "grief-demo-unaware":
         net = lingua.grief_demo_network(parent_knows=False)
     else:
-        net = read_doc(args.net, lingua.load_network)
+        net = read_doc(args.net, lingua.load_network, "network")
     for node in args.inject or ():
         net = lingua.inject(net, node)
     trace = []
@@ -431,7 +432,7 @@ def cmd_activate(args, constraints):
         f"step {i + 1}: fired {', '.join(fired) if fired else '-'}"
         for i, fired in enumerate(trace)
     ]
-    phases = {name: net.phase_of(name).value for name in net.nodes}
+    phases = {name: phase.value for name, phase in net.phases}
     emit(args, "\n".join(text_lines), {"trace": trace, "phases": phases})
     return 0
 

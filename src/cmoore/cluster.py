@@ -44,6 +44,7 @@ from .machine import (
     Violation,
     _json_block,
     _json_machine,
+    _read_json,
     from_doc,
     to_doc,
     validate,
@@ -168,37 +169,31 @@ _EXTERNAL, _UNION, _CURRENT_STATE = range(3)
 _HALTED, _IDLE, _ADVANCED, _EMITTED = -1, 0, 1, 2
 
 
-class _Walk:
-    """The run of leaf ``node`` from its start, for skipping quiet ticks.
+def _gap_table(succ: list[int], emits: list[bool], run: tuple) -> list:
+    """Per state on a leaf's run from its start, the ticks up to and
+    including the leaf's next event tick (``math.inf`` when none comes).  A
+    tick from a state is an event of the leaf when it emits or meets a
+    marker."""
+    states, _, back = run
+    unrolled = states if back is None else states + states[back:]  # the cycle once more
+    gap = [math.inf] * len(succ)
+    nxt = math.inf
+    for k in reversed(range(len(unrolled))):
+        p = unrolled[k]
+        if succ[p] < 0 or emits[succ[p]]:
+            nxt = k
+        gap[p] = nxt - k + 1
+    return gap
 
-    A tick from a state is an event of the leaf when it emits or meets a
-    marker.  ``gap`` holds, per state on the run, the ticks up to and
-    including the leaf's next event tick (``math.inf`` when none comes);
-    ``advance`` moves a state on by ticks that hold no event.
-    """
 
-    __slots__ = ("node", "gap", "_states", "_position", "_back")
-
-    def __init__(self, node: int, succ: list[int], emits: list[bool], run: tuple):
-        states, position, back = run
-        if back is None:  # the run ends at a marker, so it never turns
-            back = len(states)
-        unrolled = states + states[back:]  # the cycle once more
-        gap = [math.inf] * len(succ)
-        nxt = math.inf
-        for k in reversed(range(len(unrolled))):
-            p = unrolled[k]
-            if succ[p] < 0 or emits[succ[p]]:
-                nxt = k
-            gap[p] = nxt - k + 1
-        self.node, self.gap = node, gap
-        self._states, self._position, self._back = states, position, back
-
-    def advance(self, state: int, ticks: int) -> int:
-        k = self._position[state] + ticks
-        if k >= len(self._states):  # only a run that turns goes past its end
-            k = self._back + (k - self._back) % (len(self._states) - self._back)
-        return self._states[k]
+def _advance(run: tuple, state: int, ticks: int) -> int:
+    """The state of a leaf ``ticks`` ticks on from ``state`` along its
+    ``run``, when none of those ticks is an event (see ``_gap_table``)."""
+    states, position, back = run
+    k = position[state] + ticks
+    if k >= len(states):  # only a run that turns goes past its end
+        k = back + (k - back) % (len(states) - back)
+    return states[k]
 
 
 class _CompiledCluster:
@@ -209,11 +204,14 @@ class _CompiledCluster:
     node the tables hold the successor of each state (or a marker), whether
     each state emits, the tick policy, the driven children (all of them
     under the union policy, one slot per state, -1 when empty, under
-    current-state) and the run from the start (see ``temporal._run``),
-    which every walk of a node reads.
+    current-state), the run from the start (see ``temporal._run``), which
+    every walk of a node reads, and the node steps a tick costs at most
+    (``cost``: 1 plus the children's costs summed under the union policy,
+    or their largest under current-state).  A leaf's ``gaps`` (see
+    ``_gap_table``) stay None until ``simulate`` first runs it.
     """
 
-    __slots__ = ("machines", "succ", "emits", "policy", "driven", "inner", "runs", "walks")
+    __slots__ = ("machines", "succ", "emits", "policy", "driven", "inner", "runs", "cost", "gaps")
 
     def __init__(self, root: ClusterNode):
         self.machines: list[Automaton] = []
@@ -223,8 +221,9 @@ class _CompiledCluster:
         self.driven: list[list[int]] = []
         self.inner: list[list[tuple[str, int]]] = []
         self.runs: list[tuple] = []
-        self.walks: dict[int, _Walk] = {}  # per leaf, built when simulate first runs it
+        self.cost: list[int] = []
         self._add(root)
+        self.gaps: list[list | None] = [None] * len(self.runs)
 
     def _add(self, node: ClusterNode) -> int:
         machine = node.machine
@@ -237,9 +236,12 @@ class _CompiledCluster:
         self.policy.append(_EXTERNAL)
         self.driven.append([])
         self.inner.append([])
+        self.cost.append(1)
         children = self.inner[i] = [(state, self._add(child)) for state, child in node.inner]
         if not children or node.tick_policy == "external":
             return i
+        costs = [self.cost[child] for _, child in children]
+        self.cost[i] += sum(costs) if node.tick_policy == "union" else max(costs)
         if node.tick_policy == "union":
             self.policy[i] = _UNION
             self.driven[i] = [child for _, child in children]
@@ -292,11 +294,11 @@ class _CompiledCluster:
         advances[i] += 1
         return _EMITTED if self.emits[i][nxt] else _ADVANCED
 
-    def running(self, vec: list[int]) -> list[_Walk]:
-        """The walks of the leaves a tick steps: nodes that drive nothing,
-        reached from the root through union children and occupied
-        current-state slots."""
-        walks, stack = [], [0]
+    def running(self, vec: list[int]) -> list[int]:
+        """The leaves a tick steps: nodes that drive nothing, reached from
+        the root through union children and occupied current-state slots.
+        Each one's ``gaps`` are built here, the first time it runs."""
+        leaves, stack = [], [0]
         while stack:
             i = stack.pop()
             policy = self.policy[i]
@@ -307,11 +309,10 @@ class _CompiledCluster:
                 if child >= 0:
                     stack.append(child)
             else:
-                walk = self.walks.get(i)
-                if walk is None:
-                    walk = self.walks[i] = _Walk(i, self.succ[i], self.emits[i], self.runs[i])
-                walks.append(walk)
-        return walks
+                if self.gaps[i] is None:
+                    self.gaps[i] = _gap_table(self.succ[i], self.emits[i], self.runs[i])
+                leaves.append(i)
+        return leaves
 
     def load(self, state: ClusterState) -> tuple[list[int], list[int]]:
         """A ``ClusterState`` as a configuration plus per-node tick counts."""
@@ -426,21 +427,19 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     """Drive a cluster for ``ticks`` base ticks, tallying where the outermost
     machine spends them.
 
-    A tick steps at most the widest path through the tree: a node costs 1
-    plus the sum of its children's costs under the union policy, or plus
-    the largest one under current-state, where only the occupied child
-    steps.  ``ticks`` times the root's cost over ``SIMULATE_WORK_LIMIT`` (a
-    few seconds of stepping) raises ``BudgetError`` before the first tick.
-    The limit bounds the stepping admitted, not the work done, which is
-    often far less:
+    A tick steps at most the widest path through the tree, the root's
+    compiled ``cost``.  ``ticks`` times that cost over
+    ``SIMULATE_WORK_LIMIT`` (a few seconds of stepping) raises
+    ``BudgetError`` before the first tick.  The limit bounds the stepping
+    admitted, not the work done, which is often far less:
 
     - **Quiet ticks.**  Until a running leaf emits or meets a marker, only
       the running leaves move (see ``_CompiledCluster.running``), so a
-      stretch of such ticks moves each of them along its run at once and
-      adds to the root's current state.  Every other tick is one ``step``,
-      so halts, errors and their order are those of ``tick``.  Where
-      stretches are short the ticks are stepped plainly, in runs that
-      double up to ``_PLAIN_RUN`` ticks before the next look.
+      stretch of such ticks moves each of them along its run at once
+      (``_advance``) and adds to the root's current state.  Every other
+      tick is one ``step``, so halts, errors and their order are those of
+      ``tick``.  Where stretches are short the ticks are stepped plainly,
+      in runs that double up to ``_PLAIN_RUN`` ticks before the next look.
     - **Whole laps.**  The configuration after a root advance is saved
       again at the first root advance past each doubling of the ticks run
       (Brent's cycle detection).  When it comes back, the lap's counts and
@@ -452,20 +451,16 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     if ticks < 0:
         raise InputDomainError(f"ticks must be >= 0, got {ticks}")
     compiled = node._compiled
-    cost = [1] * len(compiled.succ)
-    for i in reversed(range(len(cost))):  # preorder: children come later
-        children = [cost[child] for child in compiled.driven[i] if child >= 0]
-        if children:
-            cost[i] += sum(children) if compiled.policy[i] == _UNION else max(children)
-    if ticks * cost[0] > SIMULATE_WORK_LIMIT:
+    cost = compiled.cost[0]
+    if ticks * cost > SIMULATE_WORK_LIMIT:
         raise BudgetError(
-            f"{node.machine.name}: {ticks} ticks of {cost[0]} node steps each"
+            f"{node.machine.name}: {ticks} ticks of {cost} node steps each"
             f" would exceed the work limit {SIMULATE_WORK_LIMIT}",
-            used=ticks * cost[0],
+            used=ticks * cost,
             limit=SIMULATE_WORK_LIMIT,
         )
-    step = compiled.step
-    vec = [states[0] for states, _, _ in compiled.runs]
+    step, runs, gaps = compiled.step, compiled.runs, compiled.gaps
+    vec = [states[0] for states, _, _ in runs]
     advances = [0] * len(vec)
     counts = [0] * len(node.machine.states)
     emissions = ran = 0
@@ -476,12 +471,12 @@ def simulate(node: ClusterNode, ticks: int) -> SimulationReport:
     while ran < ticks:
         run = ticks - ran
         if not root_moves_alone:
-            walks = compiled.running(vec)
-            gap = min([walk.gap[vec[walk.node]] for walk in walks], default=math.inf)
+            leaves = compiled.running(vec)
+            gap = min([gaps[i][vec[i]] for i in leaves], default=math.inf)
             if gap > _QUIET_MIN:
                 quiet = min(gap - 1, run)
-                for walk in walks:
-                    vec[walk.node] = walk.advance(vec[walk.node], quiet)
+                for i in leaves:
+                    vec[i] = _advance(runs[i], vec[i], quiet)
                 counts[vec[0]] += quiet
                 ran += quiet
                 run, plain = 1, 1
@@ -843,7 +838,4 @@ def _json_node(node: ClusterNode, pad: str) -> str:
 
 
 def node_from_json(text: str) -> ClusterNode:
-    try:
-        return node_from_doc(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InputDomainError(f"malformed cluster document: {exc}") from exc
+    return _read_json(text, node_from_doc, "cluster")

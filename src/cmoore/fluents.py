@@ -10,14 +10,16 @@ and friends) are assignments by congruence and never run out of domain.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import InputDomainError, UnassignedWindowError
+from .machine import _read_json
 from .timescales import ScaleSystem
 
 DEFAULT_THETA = Fraction(2, 3)
@@ -120,14 +122,9 @@ class FluentStore:
         # name -> (domain start, domain stop, interval starts, interval stops)
         self._explicit: dict[str, tuple[int, int, list[int], list[int]]] = {}
         self._cyclic: dict[str, tuple[int, int, int]] = {}
-        self._widths: dict[int, int] = {}  # scale -> base units in one of its units
-
-    def _width(self, scale: int) -> int:
-        """Base units inside one unit of ``scale``, found once per scale."""
-        width = self._widths.get(scale)
-        if width is None:
-            width = self._widths[scale] = self.scales.units(scale, self.base_scale)
-        return width
+        # base units inside one unit of each scale, from the base scale up
+        above = range(self.base_scale + 1, self.scales.max_scale + 1)
+        self._widths = list(accumulate(map(self.scales.branching, above), mul, initial=1))
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(set(self._explicit) | set(self._cyclic)))
@@ -240,7 +237,7 @@ def evaluate(
         )
     if at.scale > store.scales.max_scale:
         raise InputDomainError(f"scale {at.scale} outside the scale system")
-    width = store._width(at.scale)
+    width = store._widths[at.scale - store.base_scale]
     start = at.index * width
     longest_true, longest_false = store.longest_runs(name, start, start + width)
     if mode == "forall":
@@ -310,10 +307,7 @@ def load_store(doc: Mapping | str, scales: ScaleSystem | None = None) -> FluentS
          "cyclic": {"day": {"period": 96, "phase": [24, 72]}}}
     """
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InputDomainError(f"malformed store document: {exc}") from exc
+        doc = _read_json(doc, lambda value: value, "store")
     doc = _object(doc, "a store document")
     base_scale = doc.get("base_scale")
     if base_scale is not None and not _is_int(base_scale):

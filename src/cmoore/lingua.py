@@ -16,7 +16,6 @@ items instead of multiplying the forest.  ``load_grammar`` and
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
@@ -25,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, ContradictionError, InputDomainError
 from .fluents import TimePoint
-from .machine import _rows, _text, _texts
+from .machine import _read_json, _rows, _text, _texts
 
 PARSE_ITEM_LIMIT = 300_000
 
@@ -547,9 +546,9 @@ def load_grammar(doc: Mapping | str) -> tuple[Lexicon, PatternSet]:
          "morphology": {"broke": ["break", ["PAST"]]},
          "patterns": [[["Art", "N"], "NP"], [["Vt", "NP"], "VP", 0]]}
     """
+    if isinstance(doc, str):
+        doc = _read_json(doc, lambda value: value, "grammar")
     try:
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         lexicon = Lexicon.make(
             {
                 word: [(_text(cat, "a category"), senses) for cat, senses in entries]

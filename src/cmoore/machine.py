@@ -5,8 +5,8 @@ strings (the empty string is the silent output, conventionally printed as the
 blank symbol "0"), transitions are set-valued so partial and nondeterministic
 machines are first-class values, and execution reads the output of a state on
 entry.  Machines are immutable after construction; every operation here is a
-pure function.  The module also reads CMA-JSON documents, under the string
-rules (``_text``, ``_texts``) that every JSON document of the package keeps.
+pure function.  The module also reads CMA-JSON documents, and holds the one
+JSON decoder and the string rules (``_text``, ``_texts``) of every document.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ class Violation:
 class Automaton:
     """A Moore machine over string-valued states, symbols, and outputs.
 
-    ``outputs`` stores only non-silent states, in state order; ``edges`` keep
+    ``outputs`` holds non-silent states once each, in state order; ``edges`` keep
     their construction order, which makes serialization round-trips stable.
     """
 
@@ -84,9 +84,13 @@ class Automaton:
             raise ValueError("duplicate input symbols")
         if self.initial not in known:
             raise ValueError(f"initial state {self.initial!r} is not a state")
-        for state, _ in self.outputs:
-            if state not in known:
-                raise ValueError(f"output attached to unknown state {state!r}")
+        attached = dict(self.outputs)  # refuses an output that is not a pair
+        if not known.issuperset(attached):
+            state = next(q for q in attached if q not in known)
+            raise ValueError(f"output attached to unknown state {state!r}")
+        if len(attached) != len(self.outputs):
+            state = Counter(map(itemgetter(0), self.outputs)).most_common(1)[0][0]
+            raise ValueError(f"state {state!r} is given more than one output")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
         # unpacking checks each edge's arity too
@@ -377,10 +381,7 @@ def to_json(automaton: Automaton) -> str:
 
 
 def from_json(text: str) -> Automaton:
-    try:
-        return from_doc(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InputDomainError(f"malformed machine document: {exc}") from exc
+    return _read_json(text, from_doc, "machine")
 
 
 def _json_block(brackets: str, items: Iterable[str], pad: str) -> str:
@@ -414,6 +415,16 @@ def _json_machine(automaton: Automaton, pad: str) -> str:
         f'"outputs": {_json_block("{}", outputs, p1)}',
         f'"edges": {_json_block("[]", edges, p1)}',
     ), pad)
+
+
+def _read_json(text: str, reader, kind: str):
+    """``reader`` of the value of the JSON ``text``, the one place the package
+    decodes JSON; text that is not JSON is a malformed ``kind`` document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputDomainError(f"malformed {kind} document: {exc}") from exc
+    return reader(doc)
 
 
 def _text(value, what: str) -> str:

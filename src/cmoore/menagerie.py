@@ -212,7 +212,7 @@ def annotate_outputs(automaton: Automaton, labels: Mapping[str, str]) -> Automat
     per-signal statistics.
     """
     for state in labels:
-        if state not in automaton.states:
+        if state not in automaton._state_index:
             raise InputDomainError(f"{automaton.name}: unknown state {state!r}")
     merged = dict(automaton.output_map)
     merged.update(labels)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmoore.analysis import (
+    EXACT_PATH_LIMIT,
     OCCUPANCY_WORK_LIMIT,
     FiniteDistribution,
     OccupancyVector,
@@ -147,8 +148,9 @@ class TestPathCountOccupancy:
         assert vector[m.states[7 % 4]] == 1
 
     def test_halted_chain_raises(self):
-        with pytest.raises(HaltedError):
-            path_count_occupancy(chain(3), 5)
+        for steps in (5, EXACT_PATH_LIMIT + 1):  # counted exactly, then in floats
+            with pytest.raises(HaltedError, match=r": no paths survive past tick 3$"):
+                path_count_occupancy(chain(3), steps)
 
     def test_fibonacci_ratio_for_all_horizons_up_to_sixty(self):
         m = looped_two_wheel()
@@ -348,6 +350,24 @@ class TestMonteCarlo:
             dev_small = abs(small["a"] - 2 / 3)
             dev_large = abs(large["a"] - 2 / 3)
             assert dev_large <= 2 * dev_small
+
+
+@pytest.mark.parametrize(
+    "outcomes, probabilities, message",
+    [
+        ((), (), "a distribution needs at least one outcome"),
+        (("a", "a"), (Fraction(1, 2),) * 2, "outcome labels must be distinct"),
+        (("a", ""), (Fraction(1, 2),) * 2, "outcome labels must be non-empty"),
+        (("a", "b"), (Fraction(1),), "one probability per outcome"),
+        (("a", "b"), (Fraction(3, 2), Fraction(-1, 2)), "probabilities must be non-negative"),
+        (("a", "b"), (Fraction(1, 2), Fraction(1, 4)), "probabilities must sum to 1, got 3/4"),
+    ],
+    ids=["empty", "repeated", "blank", "count", "negative", "sum"],
+)
+def test_a_refused_distribution_names_its_fault(outcomes, probabilities, message):
+    with pytest.raises(ValueError) as info:
+        FiniteDistribution(outcomes, probabilities)
+    assert str(info.value) == message
 
 
 class TestApproximateDistribution:

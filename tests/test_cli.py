@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from cmoore.analysis import OCCUPANCY_WORK_LIMIT, SYNC_WORK_LIMIT
 from cmoore.cli import dispatch
-from cmoore.cluster import CYCLE_WINDOW_LIMIT, SIMULATE_WORK_LIMIT, node_to_json
+from cmoore.cluster import (
+    CYCLE_WINDOW_LIMIT, SIMULATE_WORK_LIMIT, ClusterNode, node_to_json, product, simulate
+)
 from cmoore.errors import InputDomainError
-from cmoore.lingua import PARSE_ITEM_LIMIT
+from cmoore.lingua import PARSE_ITEM_LIMIT, inject, load_network, step_network
+from cmoore.memory import build_t1, run_script
 from cmoore.machine import from_json, to_doc, to_json
 from cmoore.menagerie import AKTIONSART_CLASSES, SCHEMA_NAMES, build, wheel
 from test_analysis import cerny, kernels_shaped_dfa, permutation_dfa
@@ -155,12 +158,24 @@ class TestValidate:
         assert code == 0
         assert "ss:" in out
 
-    @pytest.mark.parametrize("override", ["zz=1", "m=0", "m=-5"])
+    @pytest.mark.parametrize("override", ["zz=1", "m=0", "m=-5", "m=x"])
     def test_bad_env_override(self, capsys, monkeypatch, override):
         monkeypatch.setenv("CMA_CONSTRAINTS", override)
         code, out = run_cli(capsys, "validate", "--machine", "wheel:4")
         assert code == 1
         assert one_json_line(out)
+
+    def test_a_cluster_is_validated_layer_by_layer(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("CMA_CONSTRAINTS", "m=3")
+        inline = ["--machine", "wheel:2", "--inner", "a=wheel:3", "--inner", "b=wheel:5"]
+        path = tmp_path / "cluster.json"
+        path.write_text(node_to_json(product(wheel(3), wheel(5))))
+        for source in (inline, ["--cluster", str(path)]):
+            code, out = run_cli(capsys, "validate", *source)
+            assert code == 0
+            assert out.splitlines()[-1].endswith("/b:wheel-5: 5 states exceed 3")
+        monkeypatch.delenv("CMA_CONSTRAINTS")
+        assert run_cli(capsys, "validate", *inline) == (0, "ok\n")
 
 
 class TestCycleLength:
@@ -293,6 +308,21 @@ class TestOtherCommands:
         assert 0.45 <= payload["occupancy"]["a"] <= 0.55
         assert payload["halted"] is False
 
+    def test_simulate_under_the_current_state_policy(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "simulate", "--machine", "wheel:2",
+            "--inner", "a=wheel:3", "--inner", "b=wheel:5",
+            "--policy", "current", "--ticks", "30", "--format", "json",
+        )
+        assert code == 0
+        inner = (("a", ClusterNode.leaf(wheel(3))), ("b", ClusterNode.leaf(wheel(5))))
+        report = simulate(ClusterNode(wheel(2), 1, inner, "current-state"), 30)
+        assert json.loads(out) == {
+            "ticks_run": 30, "occupancy": report.occupancy(),
+            "emissions": report.emissions, "halted": False,
+        }
+
     def test_simulate_over_the_work_limit_is_one_json_line(self, capsys):
         start = time.perf_counter()
         code, out = run_cli(
@@ -366,6 +396,16 @@ class TestOtherCommands:
         assert payload["counter"] == 2
         assert payload["majority_bits"].rstrip("0").endswith("1") or payload["majority_bits"][-3] == "1"
 
+    def test_tape_symbols(self, capsys):
+        code, out = run_cli(capsys, "tape", "--symbols", "nu, nu,,alpha")
+        assert code == 0
+        tape, _ = run_script(build_t1(), ["nu", "nu", "alpha"])
+        assert out.splitlines() == [
+            *(f"replica{r}={tape.content_hex(r)}" for r in range(3)),
+            "head=2 counter=2",
+        ]
+        assert tape.content_hex(0).endswith("04")
+
     def test_fluent_eval(self, capsys, tmp_path):
         store = tmp_path / "store.json"
         store.write_text(
@@ -394,6 +434,18 @@ class TestOtherCommands:
         )
         assert code == 0
         assert "grief(x)" in out
+
+    def test_activate_the_unaware_demo(self, capsys):
+        # the parent does not know the child, so no grief fires
+        code, out = run_cli(
+            capsys,
+            "activate", "--net", "grief-demo-unaware",
+            "--inject", "death(y)", "--inject", "death(y)",
+            "--inject", "y", "--inject", "y",
+            "--steps", "2",
+        )
+        assert code == 0
+        assert out.splitlines() == ["step 1: fired death(y), y", "step 2: fired -"]
 
     def test_usage_error_exit_code(self, capsys):
         assert dispatch(["no-such-command"]) == 2
@@ -489,6 +541,43 @@ def test_bad_input_file_is_one_json_line(capsys, tmp_path, command, kind):
 
 
 @pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (["occupancy", "--machine"], "machine"),
+        (["validate", "--cluster"], "cluster"),
+        (FILE_OPTIONS["fluent"], "store"),
+        (FILE_OPTIONS["parse"], "grammar"),
+        (FILE_OPTIONS["activate"], "network"),
+    ],
+    ids=["machine", "cluster", "store", "grammar", "network"],
+)
+def test_a_file_that_is_not_json_names_its_kind(capsys, tmp_path, argv, kind):
+    path = bad_file(tmp_path, "not-json")
+    code, out = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert one_json_line(out).startswith(f"{path}: malformed {kind} document: Expecting")
+
+
+def test_activate_lists_every_phase_of_a_large_network(capsys, tmp_path):
+    # one phase per node; reading them once each keeps the command linear
+    nodes = [f"n{i:05d}" for i in range(3000)]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": list(zip(nodes, nodes[1:]))}))
+    code, out = run_cli(
+        capsys, "activate", "--net", str(path), "--inject", nodes[0], "--inject", nodes[0],
+        "--steps", "1", "--format", "json",
+    )
+    assert code == 0
+    net, fired = step_network(inject(inject(load_network(json.loads(path.read_text())),
+                                            nodes[0]), nodes[0]))
+    assert fired == {nodes[0]}
+    payload = json.loads(out)
+    assert payload["trace"] == [[nodes[0]]]
+    assert list(payload["phases"]) == nodes  # sorted keys, which is network order here
+    assert payload["phases"] == {name: net.phase_of(name).value for name in nodes}
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["export-dot", "--machine", "wheel:2"],
@@ -549,10 +638,13 @@ def test_zero_denominator_is_one_json_line(capsys, tmp_path, argv, option, value
         {"fluents": {"rain": {"domain": [0, 10], "true": [[0.5, 3]]}}},
         {"fluents": {"rain": {"domain": [0, True], "true": []}}},
         {"fluents": {"rain": {"domain": [0.0, 10], "true": []}}},
+        {"base_scale": "0"},
+        {"fluents": {"rain": {"domain": [0, 10], "true": 5}}},
     ],
     ids=[
         "top-level-list", "fluents-list", "cyclic-number", "no-domain", "no-period",
         "no-phase", "float-range-bound", "bool-domain-bound", "float-domain-bound",
+        "base-scale-string", "true-not-a-list",
     ],
 )
 def test_wrong_shape_store_is_one_json_line(capsys, tmp_path, doc):
@@ -775,6 +867,27 @@ def test_no_inline_spec_ends_in_a_traceback(spec, command):
 def test_missing_machine_is_one_usage_line(capsys, argv, message):
     """The same check as a cluster command without --machine or --cluster:
     exit 2, nothing on stdout, and one line on stderr."""
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"usage error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--machine", "wheel:2", "--inner", "a", "--ticks", "3"],
+         "--inner wants STATE=SPEC, got 'a'"),
+        (["occupancy", "--machine", "wheel:3", "--mode", "mc", "--seed", "1"],
+         "--mode mc requires --steps"),
+        (["tape", "--symbols", "nu", "--inject-fault", "1"],
+         "--inject-fault wants REPLICA:POS, got '1'"),
+        (["cycle-length", "--sizes", "2:x"], "--sizes wants OUTER:L1,L2,..., got '2:x'"),
+    ],
+    ids=["inner-without-equals", "mc-without-steps", "inject-fault", "sizes"],
+)
+def test_a_malformed_option_is_one_usage_line(capsys, argv, message):
     code = dispatch(argv)
     captured = capsys.readouterr()
     assert code == 2

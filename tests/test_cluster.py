@@ -121,6 +121,25 @@ class TestScaleSystem:
         with pytest.raises(InputDomainError):
             ScaleSystem.modern().branching(19)
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: ScaleSystem(factors=((-18, 10),)), ValueError,
+             "branching factor at scale -18 is out of bounds"),
+            (lambda: ScaleSystem(factors=((1, 1),)), ValueError,
+             "branching factor 1 must lie in [2, 10000]"),
+            (lambda: ScaleSystem(default_factor=10_001), ValueError,
+             "default branching factor must lie in [2, 10000]"),
+            (lambda: ScaleSystem.modern().units(0, 1), InputDomainError,
+             "inner scale must not exceed outer scale"),
+        ],
+        ids=["factor-scale", "factor", "default-factor", "units-upside-down"],
+    )
+    def test_a_refused_scale_system_names_its_fault(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
 
 class TestClusterNode:
     def test_inner_scale_must_be_strictly_faster(self):
@@ -134,6 +153,11 @@ class TestClusterNode:
     def test_union_policy_needs_an_inner_node(self):
         with pytest.raises(ValueError):
             ClusterNode(wheel(2), scale=1, tick_policy="union")
+
+    def test_a_state_holds_at_most_one_inner_node(self):
+        twice = (("a", ClusterNode.leaf(wheel(3))), ("a", ClusterNode.leaf(wheel(5))))
+        with pytest.raises(ValueError, match="^at most one inner node per state$"):
+            ClusterNode(wheel(2), scale=1, inner=twice)
 
     def test_validate_wheels_within_wheels_is_clean(self):
         assert validate_cluster(wheels_within_wheels()) == []
@@ -189,6 +213,29 @@ class TestTick:
     def test_ticks_must_be_an_integer(self, ticks):
         with pytest.raises(InputDomainError, match=f"ticks must be an integer, got {ticks!r}"):
             simulate(wheels_within_wheels(), ticks)
+
+    def test_ticks_must_not_be_negative(self):
+        with pytest.raises(InputDomainError, match="^ticks must be >= 0, got -1$"):
+            simulate(wheels_within_wheels(), -1)
+
+    def test_no_ticks_give_zero_occupancy(self):
+        report = simulate(wheels_within_wheels(), 0)
+        assert report.ticks_run == 0
+        assert report.occupancy() == {"a": 0.0, "b": 0.0}
+
+    def test_gap_tables_are_built_for_the_leaves_simulate_runs_only(self):
+        node = wheels_within_wheels(inner=(3, 5), policy="current-state")
+        cycle_length(wheels_within_wheels())
+        tick(initial_state(node), node)
+        unfold(node)
+        assert node._compiled.gaps == [None] * 3
+        simulate(node, 1)  # the outer wheel stays in "a", so only its leaf runs
+        assert [gaps is None for gaps in node._compiled.gaps] == [True, False, True]
+
+    def test_an_unknown_state_in_a_configuration_is_named(self):
+        node = wheels_within_wheels()
+        with pytest.raises(InputDomainError, match="^wheel-2: unknown state 'zz'$"):
+            tick(ClusterState("zz", 0, initial_state(node).children), node)
 
     def test_largest_admitted_run_of_a_union_wheel_tree_is_exact(self):
         # three levels, all union: every tick steps all 5 nodes
@@ -491,6 +538,25 @@ class TestCycleLength:
         value = wheel_cluster_cycle(len(sizes), sizes)
         assert digit_count(value) > 4348
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: wheel_cluster_cycle(0, [3]), "wheel sizes must be >= 1"),
+            (lambda: wheel_cluster_cycle(2, [3, 0]), "wheel sizes must be >= 1"),
+            (lambda: max_prime_power_sizes(2), "limit must be at least 3"),
+            (lambda: digit_count(-1), "digit count is defined for non-negative integers"),
+        ],
+        ids=["outer-size", "inner-size", "prime-power-limit", "negative-digit-count"],
+    )
+    def test_a_refused_size_names_its_fault(self, call, message):
+        with pytest.raises(InputDomainError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value, digits", [(0, 1), (9, 1), (10, 2), (10**40 - 1, 40)])
+    def test_digit_count(self, value, digits):
+        assert digit_count(value) == digits
+
     def test_budget_error_for_huge_non_coprime_windows(self):
         with pytest.raises(BudgetError):
             wheel_cluster_cycle(2, [2 * p for p in (3, 5, 7, 11, 13, 17, 19, 23)])
@@ -536,6 +602,24 @@ class TestClassify:
     def test_nondeterministic_machines_rejected(self):
         with pytest.raises(UnsupportedStructureError):
             classify(wheel(3, loops=("a",)))
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: TemporalClass("X"), ValueError, "family must be one of "),
+            (lambda: TemporalClass("C"), ValueError,
+             "size is present exactly for the C and L families"),
+            (lambda: TemporalClass("Z", 3), ValueError,
+             "size is present exactly for the C and L families"),
+            (lambda: canonical_machine(TemporalClass("P")), InputDomainError,
+             "P has no finite canonical representative"),
+        ],
+        ids=["family", "cycle-without-size", "sized-line", "no-representative"],
+    )
+    def test_a_refused_temporal_class_names_its_fault(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value).startswith(message)
 
     def test_str_forms(self):
         assert str(TemporalClass("C", 7)) == "C(7)"

@@ -132,8 +132,17 @@ def test_simulate_matches_reference(node, ticks):
     assert outcome(simulate, node, ticks) == outcome(ref.simulate, node, ticks)
 
 
+def tailed_wheel(size: int) -> Automaton:
+    """A state ``t`` leading into a wheel of ``size`` states that emits on
+    its last one: a run that turns back to a position past its start."""
+    cycle = [f"c{i}" for i in range(size)]
+    edges = [("t", "e", cycle[0]), *zip(cycle, "e" * size, cycle[1:] + cycle[:1])]
+    return Automaton.make(f"tailed-{size}", ["t", *cycle], ["e"], "t", {cycle[-1]: "1"}, edges)
+
+
 @LONG_RUN
 @given(trees(kinds=sparse_machines), st.integers(1000, 4000))
+@example(product(tailed_wheel(10), wheel(97)), 1000)  # quiet stretches past the tail's end
 def test_simulate_skips_and_laps_like_the_reference(node, ticks):
     assert outcome(simulate, node, ticks) == outcome(ref.simulate, node, ticks)
 

@@ -46,6 +46,8 @@ class TestContains:
             contains(TimePoint(0, 0), TimePoint(0, 0), scales)
         with pytest.raises(InputDomainError):
             contains(TimePoint(0, 0), TimePoint(1, 0), scales)
+        with pytest.raises(InputDomainError, match="^scale 19 outside the scale system$"):
+            contains(TimePoint(19, 0), TimePoint(0, 0), scales)
 
     def test_negative_indices_partition_the_past(self):
         scales = ScaleSystem.modern()
@@ -118,6 +120,23 @@ class TestEvaluate:
             evaluate(store, "q", TimePoint(0, 0))
         with pytest.raises(InputDomainError):
             evaluate(store, "p", TimePoint(0, 0), mode="mostly")
+
+    @pytest.mark.parametrize("scales", [ScaleSystem.modern(), ScaleSystem.naive()],
+                             ids=["modern", "naive"])
+    def test_every_scale_has_its_window_width(self, scales):
+        for base in range(scales.min_scale, scales.max_scale + 1):
+            store = FluentStore(scales, base)
+            store.cyclic_fluent("p", 2, (0, 1))
+            for scale in range(base, scales.max_scale + 1):
+                width = scales.units(scale, base)
+                # one true unit in two: a window of one unit is all true or all false
+                want = Truth.TRUE if width == 1 else Truth.FALSE
+                assert evaluate(store, "p", TimePoint(scale, 0), "forall") is want
+                assert evaluate(store, "p", TimePoint(scale, 0), "exists") is Truth.TRUE
+
+    def test_base_scale_outside_the_scale_system(self):
+        with pytest.raises(InputDomainError, match="^base scale 19 outside the scale system$"):
+            FluentStore(ScaleSystem.modern(), base_scale=19)
 
     def test_below_base_scale_rejected(self):
         store = FluentStore(ScaleSystem.modern(), base_scale=0)
@@ -268,6 +287,7 @@ class TestStoreDocuments:
             ((0.0, 10), []),
             ((0, 10), [(1, 2, 3)]),
             ((0, 10), [5]),
+            ((5, 5), []),
         ):
             with pytest.raises(InputDomainError):
                 store.assign("p", domain, ranges)

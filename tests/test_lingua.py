@@ -10,7 +10,10 @@ from cmoore.fluents import TimePoint
 from cmoore.lingua import (
     PARSE_ITEM_LIMIT,
     ActivationNetwork,
+    LexEntry,
     Lexicon,
+    ParseItem,
+    Pattern,
     PatternSet,
     Phase,
     TenseMap,
@@ -237,6 +240,32 @@ class TestParser:
     def test_unknown_word(self):
         with pytest.raises(InputDomainError):
             parse("Eleanor broke the xylophone")
+
+    @pytest.mark.parametrize("sentence", ["", "   ", ()], ids=["empty", "blank", "no-words"])
+    def test_nothing_to_parse(self, sentence):
+        with pytest.raises(InputDomainError, match="^nothing to parse$"):
+            parse(sentence)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LexEntry("N", ()), "a lexical entry needs at least one sense"),
+            (lambda: Pattern((), "X"), "pattern chains consume one to three signals"),
+            (lambda: Pattern(("A",) * 4, "X"), "pattern chains consume one to three signals"),
+            (lambda: ParseItem(2, 2, "N", ("n",)), "an item needs a non-empty span"),
+            (lambda: ParseItem(0, 3, "NP", ("n",), (ParseItem(0, 1, "Art", ("the",)),
+                                                    ParseItem(2, 3, "N", ("n",)))),
+             "children must tile the span contiguously"),
+            (lambda: ParseItem(0, 3, "NP", ("n",), (ParseItem(0, 1, "Art", ("the",)),
+                                                    ParseItem(1, 2, "N", ("n",)))),
+             "children must cover the span exactly"),
+        ],
+        ids=["no-senses", "empty-chain", "long-chain", "empty-span", "gap", "short"],
+    )
+    def test_a_refused_value_names_its_fault(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_span_tiling_invariant(self):
         for item in parse(SENTENCE).chart:

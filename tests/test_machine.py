@@ -163,6 +163,30 @@ class TestConstruction:
         doc = {**TWO_WHEEL, "edges": [("a", "e", "b"), ["b", "e", "a"]]}
         assert from_doc(doc) == from_doc(TWO_WHEEL)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Automaton("m", (), ("e",), "a"), "a machine needs at least one state"),
+            (lambda: Automaton("m", ("a", "a"), ("e",), "a"), "duplicate state identifiers"),
+            (lambda: Automaton("m", ("a",), ("e", "e"), "a"), "duplicate input symbols"),
+            (lambda: Automaton("m", ("a",), ("e",), "a", (("a", "1"), ("zz", "1"), ("yy", "1"))),
+             "output attached to unknown state 'zz'"),
+            (lambda: Automaton.make("m", ["a"], ["e"], "a", {"a": "1", "zz": ""}),
+             "output attached to unknown state 'zz'"),
+            # to_json would write both and from_json keep the last
+            (lambda: Automaton("m", ("a", "b"), ("e",), "a", (("a", "1"), ("b", "1"), ("a", "2"))),
+             "state 'a' is given more than one output"),
+            (lambda: Automaton("m", ("a",), ("e",), "a", (("a", "1", "2"),)),
+             "dictionary update sequence element #0 has length 3; 2 is required"),
+        ],
+        ids=["no-states", "duplicate-states", "duplicate-inputs", "unknown-output-state",
+             "make-unknown-output-state", "two-outputs", "output-triple"],
+    )
+    def test_a_refused_machine_names_its_fault(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
             Automaton.make("m", ["a"], [], "a")
@@ -259,6 +283,13 @@ class TestStep:
             step(m, "zz", "e")
         with pytest.raises(InputDomainError):
             step(m, "a", "q")
+        with pytest.raises(InputDomainError, match="unknown state 'zz'$"):
+            m.output_of("zz")
+
+    def test_degrees_and_repr(self):
+        m = looped_two_wheel()
+        assert (m.out_degree("a"), m.in_degree("a"), m.in_degree("b")) == (2, 2, 1)
+        assert repr(m) == "Automaton('wheel-2,loops=a', states=2, inputs=1, edges=3)"
 
 
 class TestRun:

@@ -79,6 +79,35 @@ class TestByteCell:
         assert cell.as_int == 0b10110001
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ByteCell((0,) * 7), ValueError, "bits must be eight 0/1 values"),
+        (lambda: ByteCell((2,) + (0,) * 7), ValueError, "bits must be eight 0/1 values"),
+        (lambda: ByteCell(head=8), ValueError, "head must lie in [0, 7]"),
+        (lambda: ByteCell.from_int(256), ValueError, "byte value must lie in [0, 255]"),
+        (lambda: Tape(size_bits=12), ValueError, "size_bits must be a multiple of 8 in [8, 256]"),
+        (lambda: Tape(size_bits=264), ValueError, "size_bits must be a multiple of 8 in [8, 256]"),
+        (lambda: Tape(contents=(0, 0)), ValueError,
+         "tapes carry one replica, or three for error correction"),
+        (lambda: Tape(8, (256,)), ValueError, "replica content out of range"),
+        (lambda: Tape(8, (0,), head=8), ValueError, "head out of range"),
+        (lambda: Tape(8, (0,), counter_head=8), ValueError, "counter head must lie in [0, 7]"),
+        (lambda: build_t1(1).bit(0, replica=1), InputDomainError, "replica 1 out of range"),
+        (lambda: build_t1().bit(256), InputDomainError, "position 256 outside the 256-bit tape"),
+        (lambda: corrupt(build_t1(), 3, 0), InputDomainError, "replica 3 out of range"),
+        (lambda: idle(build_t1(), -1), InputDomainError, "ticks must be >= 0, got -1"),
+    ],
+    ids=["seven-bits", "bit-two", "cell-head", "byte-value", "size-bits", "size-bits-past-256",
+         "two-replicas", "content", "tape-head", "counter-head", "bit-replica", "bit-position",
+         "corrupt-replica", "idle-ticks"],
+)
+def test_a_refused_value_names_its_fault(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
 class TestTableSize:
     def test_byte_cell_table(self):
         assert transition_table_size(256, 8, 5) == 10240

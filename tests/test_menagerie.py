@@ -4,7 +4,7 @@ import time
 import pytest
 
 from cmoore.errors import InputDomainError
-from cmoore.machine import run, transition_matrix, validate
+from cmoore.machine import Constraints, run, transition_matrix, validate
 from cmoore.menagerie import (
     aktionsart,
     annotate_outputs,
@@ -135,6 +135,10 @@ class TestWire:
             assert m.successors(state, "y") == ("y",)
         assert m.output_of("y") == "y"
 
+    def test_needs_a_symbol(self):
+        with pytest.raises(InputDomainError, match="^a wire needs at least one symbol$"):
+            wire(())
+
     def test_reserved_rest_name(self):
         with pytest.raises(InputDomainError):
             wire(("rest",))
@@ -223,6 +227,12 @@ class TestAnnotateOutputs:
         with pytest.raises(InputDomainError):
             annotate_outputs(wheel(2), {"zz": "1"})
 
+    def test_every_state_of_a_myriad_wheel_can_be_labelled(self):
+        m = wheel(10_000)
+        labelled = annotate_outputs(m, {q: ("", "1", "2")[i % 3] for i, q in enumerate(m.states)})
+        assert [labelled.output_of(q) for q in m.states[:4]] == ["", "1", "2", ""]
+        assert len(labelled.outputs) == 6_666
+
     def test_original_is_untouched(self):
         m = wheel(3)
         annotate_outputs(m, {"a": "9"})
@@ -259,6 +269,23 @@ class TestSpecs:
     def test_parameters_respect_constraints(self):
         with pytest.raises(InputDomainError):
             build("wheel:10001")
+
+    @pytest.mark.parametrize(
+        "spec, constraints, message",
+        [
+            ("wheel", Constraints(), "wheel spec needs a size, e.g. wheel:4"),
+            ("chain: ,loops=a", Constraints(), "chain spec needs a size, e.g. chain:4"),
+            ("wheel:x", Constraints(), "bad wheel size 'x'"),
+            ("wheel:3,spin=2", Constraints(), "unknown wheel option 'spin'"),
+            ("wire:abc", Constraints(max_alphabet=2), "wire alphabet 3 exceeds the symbol budget 2"),
+            ("wire:abc", Constraints(max_states=3), "wire state count exceeds the state budget"),
+        ],
+        ids=["no-size", "blank-size", "bad-size", "unknown-option", "wire-alphabet", "wire-states"],
+    )
+    def test_a_bad_spec_names_its_fault(self, spec, constraints, message):
+        with pytest.raises(InputDomainError) as info:
+            build(spec, constraints)
+        assert str(info.value) == message
 
     def test_bare_synapse_defaults_to_all_loops(self):
         assert build("synapse") == synapse()
