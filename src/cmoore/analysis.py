@@ -11,7 +11,8 @@ Two distinct occupancy notions live here and are deliberately kept apart:
 
 For the looped 2-wheel the two disagree (golden-ratio 0.618... versus 2/3),
 and that contrast is part of the contract.  The stationary solver finds the
-reachable states and the closed classes in one depth-first pass.
+reachable states and the closed classes in one depth-first pass, or none when
+the run from the initial state is a deterministic lasso.
 
 Path counting, the stationary solver and Monte Carlo share one work limit,
 ``OCCUPANCY_WORK_LIMIT``, counted in state and edge visits.  Path counting
@@ -27,7 +28,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, mul, sub
+from functools import cached_property
+from operator import add, attrgetter, itemgetter, mul, sub
 from random import Random
 from typing import Sequence
 
@@ -72,8 +74,12 @@ class OccupancyVector:
     def as_dict(self) -> dict[str, Fraction | float]:
         return dict(self.entries)
 
+    @cached_property
+    def _index(self) -> dict[str, Fraction | float]:
+        return dict(self.entries)
+
     def __getitem__(self, state: str) -> Fraction | float:
-        return self.as_dict()[state]
+        return self._index[state]
 
 
 def _sums_to_one(values: list) -> bool:
@@ -115,7 +121,8 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
     renormalized each step in floating point to dodge overflow of the
     (typically exponential) path totals.  ``(states + edges + _STEP_VISITS)
     * steps`` over ``OCCUPANCY_WORK_LIMIT`` raises ``BudgetError`` before
-    counting starts.
+    counting starts.  A step pulls each state's count from its predecessors,
+    a column of them at a time (``_predecessor_columns``).
     """
     if steps < 0:
         raise InputDomainError(f"steps must be >= 0, got {steps}")
@@ -132,14 +139,22 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
         )
     start = automaton._state_index[automaton.initial]
     exact = steps <= EXACT_PATH_LIMIT
-    counts: list = [0] * n
-    counts[start] = 1 if exact else 1.0
+    zero = 0 if exact else 0.0
+    position, columns = _predecessor_columns(succ)
+    counts: list = [zero] * n
+    counts[position[start]] = 1 if exact else 1.0
+    # a step sums the gathered columns: the first two as they are gathered,
+    # each later one into the prefix of the states it reaches
+    first, m = columns[0], len(columns[1])
+    head, second, rest = _gather(first[:m]), _gather(columns[1]), _gather(first[m:])
+    later = [(len(column), _gather(column)) for column in columns[2:]]
+    pad = [zero] * (n - len(first))
     for t in range(steps):
-        new: list = [0] * n if exact else [0.0] * n
-        for p, c in enumerate(counts):
-            if c:
-                for q in succ[p]:
-                    new[q] += c
+        new = list(map(add, head(counts), second(counts)))
+        new += rest(counts)
+        for m, column in later:
+            new[:m] = map(add, new, column(counts))
+        new += pad
         if exact:
             counts = new
             if not any(counts):
@@ -148,7 +163,8 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
             total = math.fsum(new)
             if total == 0.0:
                 raise HaltedError(f"{automaton.name}: no paths survive past tick {t + 1}")
-            counts = [c / total for c in new]
+            counts = list(map(total.__rtruediv__, new))
+    counts = _gather(position)(counts)
     if exact:
         total = sum(counts)
         entries = tuple(
@@ -158,6 +174,43 @@ def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
         total = math.fsum(counts)
         entries = tuple((q, counts[i] / total) for i, q in enumerate(automaton.states))
     return OccupancyVector(entries, horizon=steps, exact=exact)
+
+
+def _predecessor_columns(succ: Sequence[Sequence[int]]) -> tuple[list[int], list]:
+    """The transposed successor table, read a column at a time.
+
+    States are relabelled by descending in-degree (``position[p]`` is the
+    new label of state ``p``), so the states with a j-th predecessor are the
+    first ``m_j`` labels.  Column j lists the new labels of the j-th
+    predecessors, in ascending state order, of those states; there are at
+    least two columns, the second empty if no state has two predecessors.
+    Summing the columns in order adds each state's predecessors in the order
+    a push along the edges would, so floats round the same (Saad, Iterative
+    Methods for Sparse Linear Systems, 2003, 3.4)."""
+    preds: list[list[int]] = [[] for _ in succ]
+    for p, targets in enumerate(succ):
+        for q in targets:
+            preds[q].append(p)
+    degree = list(map(len, preds))
+    order = sorted(range(len(succ)), key=degree.__getitem__, reverse=True)  # stable
+    position = [0] * len(succ)
+    for k, q in enumerate(order):
+        position[q] = k
+    ordered = [preds[q] for q in order]
+    columns = []
+    m = len(ordered)
+    for j in range(max(degree[order[0]], 2)):
+        while m and degree[order[m - 1]] <= j:
+            m -= 1
+        columns.append(list(map(position.__getitem__, map(itemgetter(j), ordered[:m]))))
+    return position, columns
+
+
+def _gather(indices: list[int]):
+    """``itemgetter(*indices)``, but a tuple for any number of indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda values: tuple(values[i] for i in indices)
 
 
 def _reachable(succ: Sequence[Sequence[int]], start: int) -> dict[int, None]:
@@ -226,7 +279,9 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
     The chain is restricted to the states reachable from the initial state;
     a unique closed class must exist there, otherwise the stationary vector
     is ambiguous and the closed classes are reported.  Both come from one
-    pass of Tarjan's algorithm (``_closed_classes``).  Deterministic cycles
+    pass of Tarjan's algorithm (``_closed_classes``), unless the run from the
+    initial state never branches or halts: the cycle it closes is then the
+    one closed class.  Deterministic cycles
     get an exact uniform answer (the running-average limit); everything else
     is solved by Gauss-Seidel sweeps over the class in breadth-first order
     (Stewart, Introduction to the Numerical Solution of Markov Chains, 1994,
@@ -236,6 +291,9 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
     """
     succ = _unary_table(automaton)
     start = automaton._state_index[automaton.initial]
+    path, back = _single_run(succ, start, len(succ))
+    if back >= 0:  # a deterministic lasso: its cycle is the one closed class
+        return _uniform_on(automaton, path[back:])
     reachable, closed = _closed_classes(succ, start)
     missing = [automaton.states[i] for i in sorted(reachable) if not succ[i]]
     if missing:
@@ -249,12 +307,7 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
         )
     closed_set = set(closed[0])
     if all(len(succ[p]) == 1 for p in closed_set):
-        share = Fraction(1, len(closed_set))
-        entries = tuple(
-            (q, share if i in closed_set else Fraction(0))
-            for i, q in enumerate(automaton.states)
-        )
-        return OccupancyVector(entries, horizon=None, exact=True)
+        return _uniform_on(automaton, closed_set)
     # Gauss-Seidel on x[p] = v[p] / outdeg(p), the mass p sends along each
     # edge.  Balance at p, its self-loop aside: x[p] * moves[p] is the sum
     # of x over p's other predecessors.
@@ -292,13 +345,25 @@ def stationary_distribution(automaton: Automaton) -> OccupancyVector:
             return OccupancyVector(entries, horizon=None, exact=False)
 
 
+def _uniform_on(automaton: Automaton, cycle) -> OccupancyVector:
+    """The exact stationary vector of a deterministic cycle: uniform on its
+    states, which ``cycle`` lists once each."""
+    share = Fraction(1, len(cycle))
+    shares = [Fraction(0)] * len(automaton.states)
+    for i in cycle:
+        shares[i] = share
+    return OccupancyVector(tuple(zip(automaton.states, shares)), horizon=None, exact=True)
+
+
 def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> OccupancyVector:
     """Visit fractions of a single seeded random run of ``steps`` ticks.
 
     The initial state counts as an observation, so fractions are over
     ``steps + 1`` instants.  Identical seeds give identical vectors.
     ``_STEP_VISITS * steps`` over ``OCCUPANCY_WORK_LIMIT`` raises
-    ``BudgetError`` before the run starts.
+    ``BudgetError`` before the run starts.  Only branches are stepped: a
+    stretch of states with one successor each is jumped whole (``_hop``),
+    and a run that ends in a cycle without branches is counted by laps.
     """
     if steps < 1:
         raise InputDomainError(f"steps must be >= 1, got {steps}")
@@ -311,13 +376,30 @@ def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> Occupa
             used=work,
             limit=OCCUPANCY_WORK_LIMIT,
         )
-    rng = Random(seed)
+    randrange = Random(seed).randrange
     counts = [0] * len(automaton.states)
+    marks = [0] * len(automaton.states)
+    hops: dict[int, tuple] = {}
     current = automaton._state_index[automaton.initial]
     counts[current] = 1
-    for t in range(steps):
+    left = steps
+    while left:
         options = succ[current]
-        if not options:
+        if len(options) > 1:
+            current = options[randrange(len(options))]
+            left -= 1
+        elif options:
+            # a stretch of single successors: jump it whole, or walk out the run
+            distance, land = hops.get(current) or _hop(succ, hops, current)
+            if distance > left:
+                _walk_out(succ, counts, current, left)
+                break
+            marks[current] += 1
+            left -= distance
+            current = land
+        else:
+            _push_marks(succ, hops, marks, counts)
+            t = steps - left
             seen = t + 1
             partial = OccupancyVector(
                 tuple((q, counts[i] / seen) for i, q in enumerate(automaton.states)),
@@ -327,11 +409,80 @@ def monte_carlo_occupancy(automaton: Automaton, steps: int, seed: int) -> Occupa
             raise HaltedError(
                 f"{automaton.name}: halted after {t} of {steps} ticks", partial=partial
             )
-        current = options[0] if len(options) == 1 else options[rng.randrange(len(options))]
         counts[current] += 1
+    _push_marks(succ, hops, marks, counts)
     total = steps + 1
     entries = tuple((q, counts[i] / total) for i, q in enumerate(automaton.states))
     return OccupancyVector(entries, horizon=steps, exact=False)
+
+
+def _single_run(
+    succ: Sequence[Sequence[int]], p: int, limit: int, known=()
+) -> tuple[list[int], int]:
+    """The run from ``p`` while each state has exactly one successor.
+
+    Returns the states passed, ``p`` first, and the index among them of the
+    state the run steps back to, or -1 if it closes no cycle.  The run stops
+    after ``limit`` steps, at a state without exactly one successor, or on
+    entering a state in ``known``."""
+    path, index = [p], {p: 0}
+    while len(path) <= limit and len(succ[p]) == 1:
+        p = succ[p][0]
+        if p in index:
+            return path, index[p]
+        index[p] = len(path)
+        path.append(p)
+        if p in known:
+            break
+    return path, -1
+
+
+def _hop(succ, hops: dict, p: int) -> tuple:
+    """Resolve the stretch from ``p``, a state with one successor: each
+    state passed gets ``hops[q] = (distance, land)``, the steps to the first
+    state with no or several successors and that state, or ``(inf, -1)``
+    when the run closes a cycle first.  Resolved states end the walk (path
+    compression), so each state is walked once."""
+    path, back = _single_run(succ, p, len(succ), hops)
+    if back >= 0:
+        distance, land = math.inf, -1
+    else:
+        end = path.pop()
+        distance, land = hops.get(end) or (0, end)
+    for q in reversed(path):
+        distance += 1
+        hops[q] = (distance, land)
+    return hops[p]
+
+
+def _walk_out(succ, counts: list[int], p: int, steps: int) -> None:
+    """Count the states a run of ``steps`` single successors from ``p``
+    enters; once it closes a cycle, whole laps and the remainder are counted
+    by arithmetic."""
+    path, back = _single_run(succ, p, steps)
+    for q in path[1:]:
+        counts[q] += 1
+    if back >= 0:
+        cycle = path[back:]
+        laps, rest = divmod(steps - len(path) + 1, len(cycle))
+        for q in cycle:
+            counts[q] += laps
+        for q in cycle[:rest]:
+            counts[q] += 1
+
+
+def _push_marks(succ, hops: dict, marks: list[int], counts: list[int]) -> None:
+    """Count the states inside the stretches jumped: a mark on a state is
+    one visit of each state after it, short of the landing state (counted
+    at the jump).  Longer stretches pass their marks down first."""
+    for distance, p in sorted(
+        ((distance, p) for p, (distance, _) in hops.items() if 1 < distance < math.inf),
+        reverse=True,
+    ):
+        if marks[p]:
+            q = succ[p][0]
+            counts[q] += marks[p]
+            marks[q] += marks[p]
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,19 @@ def write_text(path: str, text: str) -> None:
 
 
 def read_doc(path: str, loader, kind: str):
-    """Read a JSON file of document ``kind`` with its module's ``loader``; errors name the file."""
+    """Read a JSON file of document ``kind`` with its module's ``loader``; errors name the file.
+
+    A JSON string is refused here: the store and grammar loaders read a
+    string as JSON text, so they would decode it a second time."""
+
+    def document(doc):
+        if isinstance(doc, str):
+            raise InputDomainError(f"malformed {kind} document: a JSON string, not an object")
+        return loader(doc)
+
     text = read_text(path)
     try:
-        return _read_json(text, loader, kind)
+        return _read_json(text, document, kind)
     except InputDomainError as exc:
         raise InputDomainError(f"{path}: {exc}") from exc
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputDomainError
 
@@ -71,12 +72,16 @@ class ScaleSystem:
             name="naive",
         )
 
+    @cached_property
+    def _factor(self) -> dict[int, int]:
+        return dict(self.factors)
+
     def branching(self, scale: int) -> int:
         if not self.min_scale < scale <= self.max_scale:
             raise InputDomainError(
                 f"scale {scale} has no branching factor in [{self.min_scale + 1}, {self.max_scale}]"
             )
-        return dict(self.factors).get(scale, self.default_factor)
+        return self._factor.get(scale, self.default_factor)
 
     def units(self, outer_scale: int, inner_scale: int) -> int:
         """Scale-``inner_scale`` units inside one scale-``outer_scale`` unit."""

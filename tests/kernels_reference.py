@@ -3,7 +3,8 @@
 These are the string-walking versions the kernels had before every kernel
 read the automaton's cached integer successor table: a transition dict
 keyed by ``(state, symbol)`` with validated ``successors`` lookups on top,
-per-call successor index lists for the occupancy kernels (with the
+per-call successor index lists for the occupancy kernels (path counts
+pushed edge by edge, Monte Carlo stepped tick by tick, the
 period-averaged power iteration for stationary vectors, a direct dense
 solve of the balance equations for sparse, slowly mixing classes, and its
 own copies of the reachability, strong-component and period helpers), the wheel
@@ -136,24 +137,36 @@ def _successor_indices(automaton: Automaton, symbol: str) -> list[list[int]]:
 
 
 def path_count_occupancy(automaton: Automaton, steps: int) -> OccupancyVector:
-    """The exact branch only: ``steps`` must not exceed EXACT_PATH_LIMIT."""
-    assert steps <= EXACT_PATH_LIMIT
+    """Each step pushes every count along every edge, in ascending state
+    order: exact integers up to EXACT_PATH_LIMIT steps, floats renormalised
+    by their ``fsum`` after each step beyond (no work limit)."""
     if steps < 0:
         raise InputDomainError(f"steps must be >= 0, got {steps}")
     succ = _successor_indices(automaton, _unary_symbol(automaton))
-    counts = [0] * len(automaton.states)
-    counts[automaton.states.index(automaton.initial)] = 1
+    exact = steps <= EXACT_PATH_LIMIT
+    counts: list = [0] * len(automaton.states)
+    counts[automaton.states.index(automaton.initial)] = 1 if exact else 1.0
     for t in range(steps):
-        new = [0] * len(counts)
+        new: list = [0] * len(counts) if exact else [0.0] * len(counts)
         for p, c in enumerate(counts):
             for q in succ[p]:
                 new[q] += c
-        counts = new
-        if not any(counts):
-            raise HaltedError(f"{automaton.name}: no paths survive past tick {t + 1}")
-    total = sum(counts)
-    entries = tuple((q, Fraction(counts[i], total)) for i, q in enumerate(automaton.states))
-    return OccupancyVector(entries, horizon=steps, exact=True)
+        if exact:
+            counts = new
+            if not any(counts):
+                raise HaltedError(f"{automaton.name}: no paths survive past tick {t + 1}")
+        else:
+            total = math.fsum(new)
+            if total == 0.0:
+                raise HaltedError(f"{automaton.name}: no paths survive past tick {t + 1}")
+            counts = [c / total for c in new]
+    if exact:
+        total = sum(counts)
+        entries = tuple((q, Fraction(counts[i], total)) for i, q in enumerate(automaton.states))
+    else:
+        total = math.fsum(counts)
+        entries = tuple((q, counts[i] / total) for i, q in enumerate(automaton.states))
+    return OccupancyVector(entries, horizon=steps, exact=exact)
 
 
 def _reachable(succ: Sequence[Sequence[int]], start: int) -> set[int]:

@@ -127,6 +127,20 @@ class TestOccupancyVector:
         with pytest.raises(ValueError, match="within 1e-12, got 0.9"):
             OccupancyVector((("a", 0.4), ("b", 0.5)), horizon=None, exact=False)
 
+    def test_lookups_read_one_index_built_once(self):
+        m = wheel(10_000)
+        vector = stationary_distribution(m)
+        started = time.perf_counter()
+        values = [vector[q] for q in m.states[:2000]]
+        # with the index rebuilt per lookup, these took about 1 s
+        assert time.perf_counter() - started < 0.25
+        assert values == [Fraction(1, 10_000)] * 2000
+        mapping = vector.as_dict()
+        mapping[m.states[0]] = 1
+        assert vector[m.states[0]] == vector.as_dict()[m.states[0]] == Fraction(1, 10_000)
+        with pytest.raises(KeyError):
+            vector["?"]
+
 
 class TestPathCountOccupancy:
     def test_three_steps_match_exhaustive_enumeration(self):
@@ -266,6 +280,19 @@ class TestStationaryDistribution:
         assert vector.exact
         assert vector[names[-2]] == vector[names[-1]] == Fraction(1, 2)
 
+    def test_myriad_state_stem_into_a_branch_takes_the_depth_first_pass(self):
+        # the run from the initial state is no lasso: it branches at its end
+        names = [f"s{i}" for i in range(10_000)]
+        edges = [(p, "e", q) for p, q in zip(names, names[1:])]
+        edges += [(names[-1], "e", names[-1]), (names[-1], "e", names[-2])]
+        m = Automaton.make("stem", names, ["e"], names[0], edges=edges)
+        started = time.perf_counter()
+        vector = stationary_distribution(m)
+        assert time.perf_counter() - started < 1.0
+        assert not vector.exact
+        assert abs(vector[names[-1]] - 2 / 3) < 1e-9
+        assert abs(vector[names[-2]] - 1 / 3) < 1e-9
+
     @pytest.mark.parametrize("n", (100, 10_000))
     def test_lazy_wheels_answer_promptly(self, n):
         m = wheel(n, loops=("a",))
@@ -320,6 +347,16 @@ class TestMonteCarlo:
         vector = monte_carlo_occupancy(wheel(3), 300_000, seed=1)
         for _, value in vector.entries:
             assert abs(value - 1 / 3) < 1e-5
+
+    def test_a_plain_wheel_is_counted_by_laps(self):
+        # 1,000,001 instants over three states: a lap of three per tick of
+        # the run, and the last tick on the second state
+        m = wheel(3)
+        started = time.perf_counter()
+        vector = monte_carlo_occupancy(m, 10**6, seed=0)
+        assert time.perf_counter() - started < 0.02  # stepping took about 0.1 s
+        counts = [333_334, 333_334, 333_333]
+        assert vector.entries == tuple((q, c / 1_000_001) for q, c in zip(m.states, counts))
 
     def test_same_seed_same_vector(self):
         a = monte_carlo_occupancy(looped_two_wheel(), 5_000, seed=42)

@@ -731,6 +731,21 @@ def test_document_error_names_the_file(capsys, tmp_path, argv, doc, prefix):
 
 
 @pytest.mark.parametrize(
+    "command,kind,doc",
+    [("fluent", "store", {"fluents": {}}), ("parse", "grammar", {"words": {}})],
+    ids=["store", "grammar"],
+)
+def test_a_json_string_is_no_document(capsys, tmp_path, command, kind, doc):
+    # the string holds the JSON text of an empty document, which a second
+    # decoding would accept
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(json.dumps(doc)))
+    code, out = run_cli(capsys, *FILE_OPTIONS[command], str(path))
+    assert code == 1
+    assert one_json_line(out) == f"{path}: malformed {kind} document: a JSON string, not an object"
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["classify", "--machine", "wheel:3", "--horizon", "-1"], "horizon must be >= 0, got -1"),

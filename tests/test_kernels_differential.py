@@ -21,7 +21,11 @@ sparse ones (0-3 extra edges per block) against a direct solve of the
 balance equations, as power iteration mixes too slowly there.
 Bisimulation is also checked on 20-200-state machines and their shuffled
 copies, and the wheel approximation on random rational distributions under
-small state budgets.
+small state budgets.  The occupancy kernels must equal the reference bit for
+bit on harder inputs too: path counts over up to 600 steps, exact and float,
+on machines with hub states; Monte Carlo runs of up to 3,000 ticks, halted
+runs' partial vectors included, on machines made mostly of long stretches of
+single successors; and stationary vectors of deterministic lassos.
 """
 from fractions import Fraction
 from random import Random
@@ -50,7 +54,13 @@ from cmoore.cluster import (
     digit_count,
     unfold,
 )
-from cmoore.errors import AmbiguousChainError, BudgetError, DomainError, InfeasibleError
+from cmoore.errors import (
+    AmbiguousChainError,
+    BudgetError,
+    DomainError,
+    HaltedError,
+    InfeasibleError,
+)
 from cmoore.machine import (
     Automaton,
     Constraints,
@@ -506,3 +516,150 @@ def test_classify_of_union_wheel_trees_matches_the_unfolded_machine(node, horizo
         assume(False)
     for h in (horizon, DEFAULT_HORIZON):
         assert classify(node, h) == classify(unfolded, h)
+
+
+@st.composite
+def hub_machines(draw):
+    """A unary machine of 1-40 states, built from a drawn seed: 1-3 random
+    successors per state (none, in one machine in three, for one state in
+    ten) and, in about half of the machines of 21 states or more, a hub that
+    20 or more states enter."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 40))
+    names = [f"s{i}" for i in range(n)]
+    halts = rng.choice((0, 0, 0.1))
+    edges = {
+        (p, q)
+        for p in names
+        if rng.random() >= halts
+        for q in rng.sample(names, min(n, rng.choice((1, 2, 2, 3))))
+    }
+    if n > 20 and rng.random() < 0.5:
+        hub = rng.choice(names)
+        edges.update((p, hub) for p in rng.sample(names, rng.randint(20, n)))
+    edges = [(p, "e", q) for p, q in sorted(edges)]
+    rng.shuffle(edges)
+    return Automaton.make("hubs", rng.sample(names, n), ("e",), rng.choice(names), {}, edges)
+
+
+HUB = Automaton.make(
+    "hub", [f"s{i}" for i in range(25)], ("e",), "s0", {},
+    [(f"s{i}", "e", q) for i in range(25) for q in sorted({"s24", f"s{(i + 1) % 25}"})],
+)
+
+
+@settings(DIFFERENTIAL, max_examples=150)
+@example(HUB, 200)
+@example(HUB, 201)
+@example(HUB, 600)
+@given(hub_machines(), st.one_of(st.integers(0, 200), st.integers(195, 205), st.integers(201, 600)))
+def test_path_counts_equal_the_reference_bit_for_bit(m, steps):
+    """Exact rationals up to EXACT_PATH_LIMIT steps, floats past it: the
+    same values, rounded the same way."""
+    assert outcome(path_count_occupancy, m, steps) == outcome(ref.path_count_occupancy, m, steps)
+
+
+def run_outcome(fn, *args):
+    """``outcome``, with the partial vector of a halted run."""
+    try:
+        return "ok", fn(*args)
+    except HaltedError as exc:
+        return HaltedError, str(exc), exc.partial
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def stretch_machines(draw):
+    """A unary machine of 2-60 states, built from a drawn seed, made mostly
+    of long stretches: laid out in a random order, each state moves to the
+    next one (one time in ten, to a random state), except that per machine
+    a drawn share of 0-25% of the states branch to 2-3 random states and
+    one of 0-10% halt.  A machine with neither is a lasso, and the initial
+    state is often one with a single successor."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 60))
+    order = rng.sample([f"s{i}" for i in range(n)], n)
+    halts, branches = rng.choice((0, 0.03, 0.1)), rng.choice((0, 0.1, 0.25))
+    edges = []
+    for i, p in enumerate(order):
+        r = rng.random()
+        if r < halts:
+            continue
+        if r < halts + branches:
+            targets = rng.sample(order, min(n, rng.randint(2, 3)))
+        elif i + 1 < n and rng.random() < 0.9:
+            targets = [order[i + 1]]
+        else:
+            targets = [rng.choice(order)]
+        edges += [(p, "e", q) for q in targets]
+    states = rng.sample(order, n)
+    return Automaton.make("stretches", states, ("e",), rng.choice(order), {}, edges)
+
+
+def chain(name, links, back=None, branch=None):
+    """States s0 .. s<links>, each moving to the next; the last moves back to
+    s<back> (else it halts), and s<branch> also moves to s0."""
+    states = [f"s{i}" for i in range(links + 1)]
+    edges = [(p, "e", q) for p, q in zip(states, states[1:])]
+    if back is not None:
+        edges.append((states[-1], "e", states[back]))
+    if branch is not None:
+        edges.append((states[branch], "e", "s0"))
+    return Automaton.make(name, states, ("e",), "s0", {}, edges)
+
+
+LASSO = chain("lasso", 7, back=3)  # a tail of three into a cycle of five
+STRETCH = chain("stretch", 5)  # a stretch of five that halts at its end
+LOOPED = chain("looped", 9, back=6, branch=4)  # a branch midway, then a lasso
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@example(LASSO, 2, 0)  # ends in the tail
+@example(LASSO, 6, 0)  # ends inside the first lap
+@example(LASSO, 3000, 0)
+@example(STRETCH, 4, 0)  # ends inside the stretch
+@example(STRETCH, 5, 0)  # ends on the halting state
+@example(STRETCH, 6, 0)  # halts at the end of the stretch
+@example(LOOPED, 3000, 1)
+@given(stretch_machines(), st.integers(1, 3000), st.integers(0, 2**32))
+def test_monte_carlo_equals_the_reference_on_long_stretches(m, steps, seed):
+    """Jumped stretches and counted laps visit what stepping visits, and the
+    branches draw the same numbers: equal vectors, errors and partials."""
+    assert run_outcome(monte_carlo_occupancy, m, steps, seed) == run_outcome(
+        ref.monte_carlo_occupancy, m, steps, seed
+    )
+
+
+@st.composite
+def lasso_machines(draw):
+    """A unary machine whose run from the initial state is a tail of 0-20
+    states into a cycle of 1-30, beside 0-10 unreached states with 0-3
+    random successors each, all in random state order.  One time in four a
+    state of the tail or cycle also moves to a random state, or halts, so
+    that the run is no longer a lasso."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    tail, cycle, others = rng.randint(0, 20), rng.randint(1, 30), rng.randint(0, 10)
+    names = [f"s{i}" for i in range(tail + cycle + others)]
+    rng.shuffle(names)
+    run = names[: tail + cycle]
+    succ = {p: [q] for p, q in zip(run, run[1:])}
+    succ[run[-1]] = [run[tail]]
+    for p in names[tail + cycle :]:
+        succ[p] = rng.sample(names, rng.randint(0, 3))
+    if rng.random() < 1 / 4:
+        p = rng.choice(run)
+        succ[p] = [] if rng.random() < 0.3 else sorted({succ[p][0], rng.choice(names)})
+    edges = [(p, "e", q) for p, targets in succ.items() for q in targets]
+    return Automaton.make("lasso", rng.sample(names, len(names)), ("e",), run[0], {}, edges)
+
+
+@settings(DIFFERENTIAL, max_examples=150)
+@example(LASSO)
+@example(wheel(1))
+@given(lasso_machines())
+def test_stationary_vectors_of_lassos_match_reference(m):
+    """A lasso's cycle is its one closed class: the exact uniform vector,
+    found without the Tarjan pass, equals the reference's.  The reference
+    solves directly, as a cycle with one chord mixes slowly."""
+    check_stationary(m, ref.stationary_by_solve)
